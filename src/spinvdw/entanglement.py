@@ -13,12 +13,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import backend
+from .backend import ZERO_CUTOFF
 from .combinatorics import b_table, schmidt_multiplicities
 from .evolution import AmplitudeVector, phase_spectrum
 from .model import ModelSpec
-
-# Probabilities below this are treated as exact zeros in p*log2(p).
-ZERO_CUTOFF = 1e-300
 
 # Integrity threshold on |sum(P) - 1| before a spectrum is rejected.
 NORMALIZATION_TOLERANCE = 1e-9

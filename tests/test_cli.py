@@ -1,7 +1,11 @@
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -227,3 +231,28 @@ class TestConfigPrecedence:
         config.write_text("steps 12\n")
         out = tmp_path / "x.csv"
         assert main(["--config", str(config), "evolve", "--out", str(out)]) == 2
+
+
+class TestModuleEntryPoint:
+    """``python -m spinvdw.cli`` runs the same front end as the console script."""
+
+    @staticmethod
+    def run_module(*args, cwd):
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        return subprocess.run(
+            [sys.executable, "-m", "spinvdw.cli", *args],
+            capture_output=True, text=True, env=env, cwd=cwd,
+        )
+
+    def test_maxima_writes_csv(self, tmp_path):
+        out = tmp_path / "maxima.csv"
+        proc = self.run_module("maxima", "--n-max", "3", "--out", str(out), cwd=tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        header, rows = read_csv(out)
+        assert header == ["n", "tau_prime", "tau_double_prime", "max_entropy", "argmax_tau"]
+        assert [row[0] for row in rows] == ["2", "3"]
+
+    def test_missing_subcommand_is_usage_error(self, tmp_path):
+        proc = self.run_module(cwd=tmp_path)
+        assert proc.returncode == 2
+        assert "usage:" in proc.stderr

@@ -1,19 +1,11 @@
 from __future__ import annotations
 
-import math
-import os
-import subprocess
-import sys
-
 import numpy as np
-import pytest
 
-from spinvdw import _kernels_py
+from spinvdw import backend
 from spinvdw.combinatorics import b_table, schmidt_multiplicities
 from spinvdw.evolution import amplitudes_at, phase_spectrum
 from spinvdw.model import ModelSpec
-
-compiled = pytest.importorskip("spinvdw._kernels", reason="compiled kernel not built")
 
 
 def kernel_inputs(spec: ModelSpec):
@@ -23,23 +15,12 @@ def kernel_inputs(spec: ModelSpec):
     return coeffs, phases, degeneracy
 
 
-@pytest.mark.parametrize("n,m", [(2, 1), (7, 1), (9, 4), (12, 6), (30, 15)])
-def test_backends_agree(n, m):
-    spec = ModelSpec(n, m)
-    coeffs, phases, degeneracy = kernel_inputs(spec)
-    taus = np.linspace(0.0, 4.0 * math.pi, 300)
-    p_py, e_py = _kernels_py.schmidt_entropy_grid(coeffs, phases, degeneracy, taus)
-    p_cy, e_cy = compiled.schmidt_entropy_grid(coeffs, phases, degeneracy, taus)
-    assert np.max(np.abs(p_py - p_cy)) < 1e-12
-    assert np.max(np.abs(e_py - e_cy)) < 1e-12
-
-
-def test_compiled_matches_reference_amplitudes():
+def test_kernel_matches_reference_amplitudes():
     spec = ModelSpec(6, 3)
     table = b_table(spec)
     coeffs, phases, degeneracy = kernel_inputs(spec)
     taus = np.array([0.0, 0.37, 2.11])
-    probs, _ = compiled.schmidt_entropy_grid(coeffs, phases, degeneracy, taus)
+    probs, _ = backend.schmidt_entropy_grid(coeffs, phases, degeneracy, taus)
     for i, tau in enumerate(taus):
         amps = amplitudes_at(spec, table, float(tau)).amplitudes
         expected = degeneracy * np.abs(amps) ** 2
@@ -49,34 +30,9 @@ def test_compiled_matches_reference_amplitudes():
 def test_zero_probability_entropy_guard():
     spec = ModelSpec(4, 1)
     coeffs, phases, degeneracy = kernel_inputs(spec)
-    for impl in (_kernels_py, compiled):
-        probs, entropies = impl.schmidt_entropy_grid(
-            coeffs, phases, degeneracy, np.array([0.0])
-        )
-        assert np.isfinite(entropies).all()
-        assert abs(entropies[0]) < 1e-12
-        assert abs(probs[0, 0] - 1.0) < 1e-12
-
-
-def test_env_var_forces_fallback():
-    env = dict(os.environ, SPINVDW_PURE_PYTHON="1")
-    out = subprocess.run(
-        [sys.executable, "-c", "from spinvdw.backend import KERNEL_BACKEND; print(KERNEL_BACKEND)"],
-        capture_output=True,
-        text=True,
-        env=env,
-        check=True,
+    probs, entropies = backend.schmidt_entropy_grid(
+        coeffs, phases, degeneracy, np.array([0.0])
     )
-    assert out.stdout.strip() == "python"
-
-
-def test_default_backend_prefers_compiled():
-    env = {k: v for k, v in os.environ.items() if k != "SPINVDW_PURE_PYTHON"}
-    out = subprocess.run(
-        [sys.executable, "-c", "from spinvdw.backend import KERNEL_BACKEND; print(KERNEL_BACKEND)"],
-        capture_output=True,
-        text=True,
-        env=env,
-        check=True,
-    )
-    assert out.stdout.strip() == "cython"
+    assert np.isfinite(entropies).all()
+    assert abs(entropies[0]) < 1e-12
+    assert abs(probs[0, 0] - 1.0) < 1e-12
