@@ -25,7 +25,6 @@ from .entanglement import (
     entropy,
     entropy_grid,
     entropy_rate_m1,
-    entropy_series,
     magic_number_scan,
     max_entropy_at_t2,
     schmidt_spectrum,
@@ -33,7 +32,6 @@ from .entanglement import (
 from .evolution import (
     AmplitudeVector,
     PhaseSpectrum,
-    amplitude_series,
     amplitudes_at,
     phase_spectrum,
 )
@@ -76,7 +74,6 @@ __all__ = [
     "SectorState",
     "SingularTimeError",
     "VerificationReport",
-    "amplitude_series",
     "amplitudes_at",
     "b_coefficient",
     "b_table",
@@ -86,7 +83,6 @@ __all__ = [
     "entropy",
     "entropy_grid",
     "entropy_rate_m1",
-    "entropy_series",
     "full_space_crosscheck",
     "initial_sector_state",
     "magic_number_scan",

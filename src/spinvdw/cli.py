@@ -169,8 +169,8 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
     tau_max = _pick(
         getattr(args, "tau_max", None), file_values, "tau_max", float, 2.0 * math.pi / n_total
     )
-    if not tau_max > 0:
-        raise UsageError(f"tau-max must be positive, got {tau_max}")
+    if not (math.isfinite(tau_max) and tau_max > 0):
+        raise UsageError(f"tau-max must be positive and finite, got {tau_max}")
     steps = _pick(getattr(args, "steps", None), file_values, "steps", int, DEFAULT_STEPS)
     if steps < 2:
         raise UsageError(f"steps must be >= 2, got {steps}")
@@ -254,9 +254,12 @@ def cmd_maxima(config: RunConfig) -> int:
 def _worker_count() -> int:
     raw = os.environ.get(WORKER_ENV_VAR, "1")
     try:
-        return max(1, int(raw))
+        workers = int(raw)
     except ValueError:
-        return 1
+        workers = 0
+    if workers < 1:
+        raise UsageError(f"{WORKER_ENV_VAR} must be a positive integer, got {raw!r}")
+    return workers
 
 
 def cmd_verify(config: RunConfig) -> int:

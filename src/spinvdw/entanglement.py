@@ -7,6 +7,7 @@ for N <= 6) and tau'' = pi/N, which carries the global maximum for N > 6.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -20,6 +21,9 @@ from .model import ModelSpec
 
 # Integrity threshold on |sum(P) - 1| before a spectrum is rejected.
 NORMALIZATION_TOLERANCE = 1e-9
+
+# Specs whose kernel data stay cached; a maxima scan reuses one spec at a time.
+KERNEL_CACHE_SIZE = 256
 
 _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -94,33 +98,44 @@ def entropy(spectrum) -> float:
     return max(0.0, float(-(probs * np.log2(probs)).sum()))
 
 
+@functools.lru_cache(maxsize=KERNEL_CACHE_SIZE)
+def kernel_inputs(spec: ModelSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The kernel's ``(coeffs, phases, degeneracy)`` for one spec.
+
+    Contiguous read-only float64 arrays, built once per spec: the exact
+    mixing table rounded to float, the integer frequencies and the Schmidt
+    multiplicities.
+    """
+    arrays = tuple(
+        np.ascontiguousarray(values, dtype=float)
+        for values in (
+            b_table(spec).as_array(),
+            phase_spectrum(spec).phases,
+            schmidt_multiplicities(spec),
+        )
+    )
+    for array in arrays:
+        array.flags.writeable = False
+    return arrays
+
+
 def entropy_grid(spec: ModelSpec, tau_grid) -> tuple[np.ndarray, np.ndarray]:
     """Schmidt probabilities and entropies at every grid point.
 
     Kernel-backed fast path used by the scans and the CLI; returns
-    ``(probs, entropies)`` of shapes ``(T, M'+1)`` and ``(T,)``.
+    ``(probs, entropies)`` of shapes ``(T, M'+1)`` and ``(T,)``.  Raises
+    ValueError unless the grid is a non-empty 1-d array of finite times.
     """
     taus = np.ascontiguousarray(tau_grid, dtype=float)
     if taus.ndim != 1 or taus.size == 0:
         raise ValueError("tau grid must be a non-empty 1-d array")
-    coeffs = np.ascontiguousarray(b_table(spec).as_array())
-    phases = np.ascontiguousarray(phase_spectrum(spec).phases, dtype=float)
-    degeneracy = np.ascontiguousarray(schmidt_multiplicities(spec), dtype=float)
-    probs, entropies = backend.schmidt_entropy_grid(coeffs, phases, degeneracy, taus)
+    if not np.isfinite(taus).all():
+        raise ValueError("tau grid must hold finite times only")
+    probs, entropies = backend.schmidt_entropy_grid(*kernel_inputs(spec), taus)
     drift = float(np.max(np.abs(probs.sum(axis=1) - 1.0)))
     if drift > NORMALIZATION_TOLERANCE:
         raise NormalizationError(f"normalization drift {drift!r} on tau grid")
     return probs, entropies
-
-
-def entropy_series(spec: ModelSpec, tau_grid) -> list[tuple[float, SchmidtSpectrum, float]]:
-    """(tau, spectrum, entropy) triples along a time grid."""
-    taus = np.asarray(tau_grid, dtype=float)
-    probs, entropies = entropy_grid(spec, taus)
-    return [
-        (float(tau), SchmidtSpectrum(spec, float(tau), row), float(ent))
-        for tau, row, ent in zip(taus, probs, entropies)
-    ]
 
 
 def _require_single_excitation(spec: ModelSpec, what: str) -> None:

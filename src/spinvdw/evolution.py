@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .combinatorics import BCoefficientTable, b_table
+from .combinatorics import BCoefficientTable
 from .model import ModelSpec
 
 
@@ -51,17 +51,3 @@ def amplitudes_at(spec: ModelSpec, table: BCoefficientTable, tau: float) -> Ampl
     angles = phase_spectrum(spec).phases * float(tau)
     oscillation = np.cos(angles) + 1j * np.sin(angles)
     return AmplitudeVector(spec, float(tau), table.as_array() @ oscillation)
-
-
-def amplitude_series(spec: ModelSpec, tau_grid) -> list[AmplitudeVector]:
-    """Amplitudes along a time grid, order preserved."""
-    taus = np.asarray(tau_grid, dtype=float)
-    if taus.ndim != 1 or taus.size == 0:
-        raise ValueError("tau grid must be a non-empty 1-d array")
-    table = b_table(spec)
-    coeffs = table.as_array()
-    angles = np.multiply.outer(taus, phase_spectrum(spec).phases.astype(float))
-    amps = (np.cos(angles) + 1j * np.sin(angles)) @ coeffs.T
-    return [
-        AmplitudeVector(spec, float(tau), row) for tau, row in zip(taus, amps)
-    ]

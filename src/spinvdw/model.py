@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
 
 
@@ -21,20 +23,20 @@ class ModelSpec:
     coupling: float = 1.0
 
     def __post_init__(self) -> None:
+        # operator.index takes numpy integers and rejects floats such as 6.0;
+        # the spec keeps the plain int.
+        for name in ("n_total", "m_excited"):
+            object.__setattr__(self, name, operator.index(getattr(self, name)))
         if self.n_total < 2:
             raise ValueError(f"n_total must be >= 2, got {self.n_total}")
         if not 0 <= self.m_excited <= self.n_total:
             raise ValueError(
                 f"m_excited must lie in 0..{self.n_total}, got {self.m_excited}"
             )
-        if not self.coupling > 0:
-            raise ValueError(f"coupling must be positive, got {self.coupling}")
+        if not (math.isfinite(self.coupling) and self.coupling > 0):
+            raise ValueError(f"coupling must be positive and finite, got {self.coupling}")
 
     @property
     def m_prime(self) -> int:
         """Schmidt-rank bound of the bipartition: min(M, N - M)."""
         return min(self.m_excited, self.n_total - self.m_excited)
-
-    def tau_from_time(self, t: float) -> float:
-        """Convert a physical time to the dimensionless evolution parameter."""
-        return self.coupling * t

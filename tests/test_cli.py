@@ -85,6 +85,12 @@ class TestEvolve:
         code = main(["evolve", "--n", "2", "--steps", "1", "--out", str(tmp_path / "x.csv")])
         assert code == 2
 
+    @pytest.mark.parametrize("tau_max", ["inf", "nan", "-inf"])
+    def test_non_finite_tau_max_is_usage_error(self, tmp_path, tau_max):
+        out = tmp_path / "x.csv"
+        assert main(["evolve", "--n", "3", f"--tau-max={tau_max}", "--out", str(out)]) == 2
+        assert not out.exists()
+
 
 class TestMaxima:
     def test_magic_number_table(self, tmp_path):
@@ -149,6 +155,12 @@ class TestVerify:
         monkeypatch.setenv("SPINVDW_WORKERS", "3")
         assert main(["verify", "--n-max", "4"]) == 0
         assert "all sectors PASS" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("workers", ["abc", "0", "-1", "1.5", ""])
+    def test_bad_worker_count_is_usage_error(self, monkeypatch, capsys, workers):
+        monkeypatch.setenv("SPINVDW_WORKERS", workers)
+        assert main(["verify", "--n-max", "3"]) == 2
+        assert "SPINVDW_WORKERS" in capsys.readouterr().err
 
 
 @pytest.fixture(scope="module")

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from spinvdw.combinatorics import b_table
 from spinvdw.entanglement import (
@@ -13,7 +15,6 @@ from spinvdw.entanglement import (
     entropy,
     entropy_grid,
     entropy_rate_m1,
-    entropy_series,
     magic_number_scan,
     max_entropy_at_t2,
     schmidt_spectrum,
@@ -77,9 +78,10 @@ class TestEntropy:
 
 class TestEntropySeries:
     def test_two_site_values(self):
-        series = entropy_series(ModelSpec(2, 1), [0.0, math.pi / 4])
-        assert abs(series[0][2] - 0.0) < 1e-12
-        assert abs(series[1][2] - 1.0) < 1e-12
+        probs, entropies = entropy_grid(ModelSpec(2, 1), [0.0, math.pi / 4])
+        assert np.max(np.abs(probs - [[1.0, 0.0], [0.5, 0.5]])) < 1e-12
+        assert abs(entropies[0] - 0.0) < 1e-12
+        assert abs(entropies[1] - 1.0) < 1e-12
 
     def test_three_site_reaches_one_ebit(self):
         taus = np.linspace(0.0, 2.0 * math.pi / 3.0, 4097)
@@ -102,6 +104,28 @@ class TestEntropySeries:
                 assert np.max(np.abs(probs.sum(axis=1) - 1.0)) < 1e-12
                 assert entropies.min() >= 0.0
                 assert entropies.max() <= math.log2(spec.m_prime + 1) + 1e-12
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        spec=st.integers(2, 12).flatmap(
+            lambda n: st.builds(ModelSpec, st.just(n), st.integers(0, n))
+        ),
+        taus=st.lists(st.floats(-1e3, 1e3), max_size=16),
+        bad=st.sampled_from([None, math.nan, math.inf, -math.inf]),
+        bad_at=st.integers(0, 16),
+    )
+    @example(spec=ModelSpec(2, 1), taus=[], bad=None, bad_at=0)
+    def test_property_finite_grid_normalized_else_rejected(self, spec, taus, bad, bad_at):
+        if bad is not None:
+            taus.insert(min(bad_at, len(taus)), bad)
+        if bad is not None or not taus:
+            with pytest.raises(ValueError):
+                entropy_grid(spec, taus)
+            return
+        probs, entropies = entropy_grid(spec, taus)
+        assert np.max(np.abs(probs.sum(axis=1) - 1.0)) < 1e-12
+        assert entropies.min() >= 0.0
+        assert entropies.max() <= math.log2(spec.m_prime + 1) + 1e-12
 
     def test_single_excitation_probability_closed_form(self):
         rng = np.random.default_rng(5)

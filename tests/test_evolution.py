@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from spinvdw.combinatorics import b_table, schmidt_multiplicities
-from spinvdw.evolution import amplitude_series, amplitudes_at, phase_spectrum
+from spinvdw.evolution import amplitudes_at, phase_spectrum
 from spinvdw.model import ModelSpec
 
 
@@ -84,27 +84,3 @@ class TestAmplitudesAt:
             before = np.abs(amplitudes_at(spec, table, tau).amplitudes)
             after = np.abs(amplitudes_at(spec, table, tau + 2.0 * math.pi / n).amplitudes)
             assert np.max(np.abs(before - after)) < 1e-12
-
-
-class TestAmplitudeSeries:
-    def test_single_point_grid(self):
-        series = amplitude_series(ModelSpec(2, 1), [0.0])
-        assert len(series) == 1
-        assert np.allclose(series[0].amplitudes, [1.0, 0.0], atol=1e-15)
-
-    def test_matches_single_point_evaluation(self):
-        spec = ModelSpec(2, 1)
-        series = amplitude_series(spec, [0.0, math.pi / 4])
-        direct = amplitudes_at(spec, b_table(spec), math.pi / 4)
-        assert np.max(np.abs(series[1].amplitudes - direct.amplitudes)) < 1e-15
-        assert series[1].tau == direct.tau
-
-    def test_dense_grid_normalization(self):
-        spec = ModelSpec(8, 4)
-        grid = np.linspace(0.0, 2.0 * math.pi, 101)
-        for vec in amplitude_series(spec, grid):
-            assert abs(weighted_norm(spec, vec.amplitudes) - 1.0) < 1e-12
-
-    def test_empty_grid_rejected(self):
-        with pytest.raises(ValueError):
-            amplitude_series(ModelSpec(2, 1), [])

@@ -1,18 +1,13 @@
 from __future__ import annotations
 
 import numpy as np
+import pytest
 
 from spinvdw import backend
-from spinvdw.combinatorics import b_table, schmidt_multiplicities
-from spinvdw.evolution import amplitudes_at, phase_spectrum
+from spinvdw.combinatorics import b_table
+from spinvdw.entanglement import kernel_inputs
+from spinvdw.evolution import amplitudes_at
 from spinvdw.model import ModelSpec
-
-
-def kernel_inputs(spec: ModelSpec):
-    coeffs = np.ascontiguousarray(b_table(spec).as_array())
-    phases = np.ascontiguousarray(phase_spectrum(spec).phases, dtype=float)
-    degeneracy = np.ascontiguousarray(schmidt_multiplicities(spec), dtype=float)
-    return coeffs, phases, degeneracy
 
 
 def test_kernel_matches_reference_amplitudes():
@@ -36,3 +31,15 @@ def test_zero_probability_entropy_guard():
     assert np.isfinite(entropies).all()
     assert abs(entropies[0]) < 1e-12
     assert abs(probs[0, 0] - 1.0) < 1e-12
+
+
+def test_kernel_inputs_cached_and_read_only():
+    arrays = kernel_inputs(ModelSpec(6, 3))
+    assert kernel_inputs(ModelSpec(6, 3)) is arrays
+    assert [a.shape for a in arrays] == [(4, 4), (4,), (4,)]
+    for array in arrays:
+        assert array.dtype == np.float64
+        assert array.flags.c_contiguous
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[0] = 0.0

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from spinvdw import oracle
 from spinvdw.model import ModelSpec
 from spinvdw.oracle import (
     BudgetExceededError,
@@ -209,6 +210,27 @@ class TestVerifyClosedForm:
         rng = np.random.default_rng(6)
         report = verify_closed_form(ModelSpec(7, 5), rng.uniform(0, 4 * math.pi, 16))
         assert report.passed
+
+    @pytest.mark.parametrize(
+        "samples", [[0.3, math.nan], [math.inf], [0.3, -math.inf], []], ids=str
+    )
+    def test_non_finite_or_empty_samples_rejected(self, samples):
+        with pytest.raises(ValueError):
+            verify_closed_form(ModelSpec(4, 1), samples)
+
+    def test_nan_deviation_fails_report(self, monkeypatch):
+        # a NaN at a middle sample must reach the report, not vanish in max()
+        calls = []
+
+        def nan_at_second_sample(state, size):
+            calls.append(size)
+            eig = schmidt_eigenvalues(state, size)
+            return np.full_like(eig, math.nan) if len(calls) == 2 else eig
+
+        monkeypatch.setattr(oracle, "schmidt_eigenvalues", nan_at_second_sample)
+        report = verify_closed_form(ModelSpec(4, 1), [0.0, 0.3, 0.7])
+        assert math.isnan(report.max_spectrum_deviation)
+        assert not report.passed
 
     def test_single_excitation_matches_analytic_entropy(self):
         rng = np.random.default_rng(9)
