@@ -88,9 +88,11 @@ def entropy(spectrum) -> float:
     """Base-2 Shannon entropy of a Schmidt spectrum, in ebits.
 
     Accepts a :class:`SchmidtSpectrum` or a bare probability sequence;
-    0 * log 0 is taken as 0.
+    0 * log 0 is taken as 0.  A NaN probability gives NaN.
     """
     probs = np.asarray(getattr(spectrum, "probabilities", spectrum), dtype=float)
+    if np.isnan(probs).any():
+        return math.nan
     probs = probs[probs > ZERO_CUTOFF]
     if probs.size == 0:
         return 0.0

@@ -7,6 +7,7 @@ of integer-frequency oscillations weighted by the exact mixing table.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,11 +44,17 @@ def phase_spectrum(spec: ModelSpec) -> PhaseSpectrum:
 
 
 def amplitudes_at(spec: ModelSpec, table: BCoefficientTable, tau: float) -> AmplitudeVector:
-    """Amplitudes C_m(tau) = sum_n b[m][n] exp(i phases[n] tau)."""
+    """Amplitudes C_m(tau) = sum_n b[m][n] exp(i phases[n] tau).
+
+    Raises ValueError for a non-finite tau.
+    """
     if table.spec != spec:
         raise ValueError(
             f"coefficient table was built for {table.spec}, not {spec}"
         )
-    angles = phase_spectrum(spec).phases * float(tau)
+    tau = float(tau)
+    if not math.isfinite(tau):
+        raise ValueError(f"tau must be finite, got {tau!r}")
+    angles = phase_spectrum(spec).phases * tau
     oscillation = np.cos(angles) + 1j * np.sin(angles)
-    return AmplitudeVector(spec, float(tau), table.as_array() @ oscillation)
+    return AmplitudeVector(spec, tau, table.as_array() @ oscillation)

@@ -117,34 +117,49 @@ def initial_sector_state(n_total: int, m_excited: int) -> SectorState:
     return SectorState(basis, amplitudes)
 
 
+def _real_times_complex(matrix: np.ndarray, vector: np.ndarray) -> np.ndarray:
+    """``matrix @ vector`` for a real matrix and a complex vector.
+
+    The real and imaginary parts go through one real product as the two rows
+    of a 2 x d matrix, so the matrix is never copied to complex.  Rows, not
+    columns: at d = 1716 on one OpenBLAS thread (Xeon) this took 2.8 ms and
+    the skinny d x 2 product 9.3 ms.
+    """
+    real, imag = np.stack([vector.real, vector.imag]) @ matrix.T
+    return real + 1j * imag
+
+
 def propagate(h: SectorHamiltonian, initial: SectorState, tau: float) -> SectorState:
-    """exp(-i H tau) applied through the spectral decomposition."""
+    """exp(-i H tau) applied through the spectral decomposition.
+
+    The eigenvectors of the real symmetric hop matrix are real, so both
+    products with the eigenvector matrix stay real; only the length-d
+    vectors carry the complex phases.
+    """
     if h.basis != initial.basis:
         raise ValueError("state and Hamiltonian use different bases")
     eigenvalues, eigenvectors = h.eigensystem()
-    rotated = eigenvectors.conj().T @ initial.amplitudes
-    evolved = eigenvectors @ (np.exp(-1j * eigenvalues * float(tau)) * rotated)
-    return SectorState(h.basis, evolved)
+    rotated = _real_times_complex(eigenvectors.T, initial.amplitudes)
+    phased = np.exp(-1j * eigenvalues * float(tau)) * rotated
+    return SectorState(h.basis, _real_times_complex(eigenvectors, phased))
 
 
 def _partial_density(state: SectorState, boundary: int, keep_first: bool) -> np.ndarray:
     """Density matrix of the first ``boundary`` sites (``keep_first``) or of
-    the remaining sites (otherwise), built directly from the sector state."""
-    mask = (1 << boundary) - 1
-    dim = 1 << (boundary if keep_first else state.basis.n_total - boundary)
-    groups: dict[int, list[tuple[int, complex]]] = {}
-    for pattern, amplitude in zip(state.basis.states, state.amplitudes):
-        kept, traced = pattern & mask, pattern >> boundary
-        if not keep_first:
-            kept, traced = traced, kept
-        groups.setdefault(traced, []).append((kept, amplitude))
-    rho = np.zeros((dim, dim), dtype=complex)
-    for entries in groups.values():
-        vec = np.zeros(dim, dtype=complex)
-        for kept, amplitude in entries:
-            vec[kept] = amplitude
-        rho += np.outer(vec, vec.conj())
-    return rho
+    the remaining sites (otherwise), built directly from the sector state.
+
+    The amplitudes are scattered into the (kept x traced) coefficient matrix
+    C, whose rows are the kept-side patterns, and rho = C C^dagger.
+    """
+    n_total = state.basis.n_total
+    kept_sites = boundary if keep_first else n_total - boundary
+    patterns = np.array(state.basis.states, dtype=np.int64)
+    kept, traced = patterns & ((1 << boundary) - 1), patterns >> boundary
+    if not keep_first:
+        kept, traced = traced, kept
+    coefficients = np.zeros((1 << kept_sites, 1 << (n_total - kept_sites)), dtype=complex)
+    coefficients[kept, traced] = state.amplitudes
+    return coefficients @ coefficients.conj().T
 
 
 def reduced_density(state: SectorState, partition_size: int) -> ReducedDensity:
@@ -181,12 +196,14 @@ def von_neumann_entropy(rho) -> float:
     """Base-2 entropy of a reduced density matrix or eigenvalue list, in ebits.
 
     Rounding noise in [-1e-9, 0] is clipped to zero; anything more negative
-    is rejected as a broken density matrix.
+    is rejected as a broken density matrix.  A NaN eigenvalue gives NaN.
     """
     if isinstance(rho, ReducedDensity):
         eigenvalues = rho.eigenvalues
     else:
         eigenvalues = np.asarray(rho, dtype=float)
+    if np.isnan(eigenvalues).any():
+        return math.nan
     if eigenvalues.size and float(eigenvalues.min()) < -1e-9:
         raise ValueError(
             f"density matrix has a negative eigenvalue: {float(eigenvalues.min())!r}"
@@ -281,9 +298,9 @@ def full_space_propagate(n_total: int, m_excited: int, tau: float) -> np.ndarray
     eigenvalues, eigenvectors = np.linalg.eigh(full_space_hamiltonian(n_total))
     psi0 = np.zeros(dim, dtype=complex)
     psi0[(1 << m_excited) - 1] = 1.0
-    return eigenvectors @ (
-        np.exp(-1j * eigenvalues * float(tau)) * (eigenvectors.conj().T @ psi0)
-    )
+    rotated = _real_times_complex(eigenvectors.T, psi0)
+    phased = np.exp(-1j * eigenvalues * float(tau)) * rotated
+    return _real_times_complex(eigenvectors, phased)
 
 
 def full_space_crosscheck(n_total: int, m_excited: int, tau: float) -> float:

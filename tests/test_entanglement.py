@@ -75,6 +75,10 @@ class TestEntropy:
         spectrum = spectrum_at(2, 1, math.pi / 4)
         assert abs(entropy(spectrum) - 1.0) < 1e-12
 
+    @pytest.mark.parametrize("probs", [(math.nan, 0.0), (0.5, math.nan, 0.5), (math.nan,)])
+    def test_nan_probability_gives_nan(self, probs):
+        assert math.isnan(entropy(probs))
+
 
 class TestEntropySeries:
     def test_two_site_values(self):

@@ -75,6 +75,12 @@ class TestAmplitudesAt:
         with pytest.raises(ValueError):
             amplitudes_at(ModelSpec(5, 2), b_table(ModelSpec(4, 2)), 0.1)
 
+    @pytest.mark.parametrize("tau", [math.nan, math.inf, -math.inf], ids=str)
+    def test_non_finite_tau_rejected(self, tau):
+        spec = ModelSpec(4, 1)
+        with pytest.raises(ValueError):
+            amplitudes_at(spec, b_table(spec), tau)
+
     def test_single_excitation_periodicity(self):
         rng = np.random.default_rng(3)
         for n in range(2, 13):

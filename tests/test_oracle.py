@@ -9,6 +9,7 @@ from spinvdw import oracle
 from spinvdw.model import ModelSpec
 from spinvdw.oracle import (
     BudgetExceededError,
+    SectorState,
     build_sector_hamiltonian,
     full_space_crosscheck,
     full_space_propagate,
@@ -91,6 +92,19 @@ class TestPropagate:
         with pytest.raises(ValueError):
             propagate(build_sector_hamiltonian(3, 1), initial_sector_state(3, 2), 0.1)
 
+    @pytest.mark.parametrize(
+        "n,m,tau", [(2, 1, 0.4), (6, 3, 1.234), (9, 2, 5.0), (10, 7, 2.5)]
+    )
+    def test_complex_state_matches_spectral_reference(self, n, m, tau):
+        # a complex start state: a product that drops the imaginary part fails
+        h = build_sector_hamiltonian(n, m)
+        psi = _random_sector_state(n, m, seed=n + m)
+        evolved = propagate(h, psi, tau).amplitudes
+        eigenvalues, vectors = h.eigensystem()
+        reference = vectors @ (np.exp(-1j * eigenvalues * tau) * (vectors.T @ psi.amplitudes))
+        assert np.max(np.abs(evolved - reference)) < 1e-12
+        assert abs(np.linalg.norm(evolved) - 1.0) < 1e-12
+
 
 class TestReducedDensity:
     def test_bell_like_state(self):
@@ -155,6 +169,32 @@ class TestReducedDensity:
         spectrum = np.sort(_subset_spectrum(full, n, subset))
         assert np.max(np.abs(spectrum[-len(reference):] - reference)) < 1e-12
 
+    @pytest.mark.parametrize("n,m", [(6, 2), (8, 3), (7, 5), (9, 6)])
+    def test_matches_full_space_trace(self, n, m):
+        # both branches of the scatter: keep the first m sites (m <= n/2)
+        # and keep the last n-m sites (m > n/2)
+        state = _random_sector_state(n, m, seed=10 * n + m)
+        full = np.zeros(1 << n, dtype=complex)
+        full[list(state.basis.states)] = state.amplitudes
+        # row index: bits of sites m..n-1, column index: bits of sites 0..m-1
+        coefficients = full.reshape(1 << (n - m), 1 << m)
+        rho_first = np.einsum("tk,tl->kl", coefficients, coefficients.conj())
+        rho_last = np.einsum("kt,lt->kl", coefficients, coefficients.conj())
+        assert np.max(np.abs(reduced_density(state, m).matrix - rho_first)) < 1e-12
+        smaller = rho_first if m <= n - m else rho_last
+        expected = np.linalg.eigvalsh(smaller)[::-1]
+        eigenvalues = schmidt_eigenvalues(state, m)
+        assert eigenvalues.shape == expected.shape
+        assert np.max(np.abs(eigenvalues - expected)) < 1e-12
+
+
+def _random_sector_state(n_sites: int, excitations: int, seed: int) -> SectorState:
+    """Normalized sector state with random complex amplitudes."""
+    basis = sector_basis(n_sites, excitations)
+    rng = np.random.default_rng(seed)
+    amplitudes = rng.normal(size=len(basis.states)) + 1j * rng.normal(size=len(basis.states))
+    return SectorState(basis, amplitudes / np.linalg.norm(amplitudes))
+
 
 def _subset_spectrum(full_state: np.ndarray, n_sites: int, subset) -> np.ndarray:
     """Reduced spectrum over an arbitrary site subset of a full-space vector."""
@@ -181,6 +221,12 @@ class TestVonNeumannEntropy:
     def test_broken_density_rejected(self):
         with pytest.raises(ValueError):
             von_neumann_entropy(np.array([1.1, -0.1]))
+
+    @pytest.mark.parametrize(
+        "eigenvalues", [[math.nan, 0.0], [0.5, math.nan, 0.5], [math.nan]]
+    )
+    def test_nan_eigenvalue_gives_nan(self, eigenvalues):
+        assert math.isnan(von_neumann_entropy(np.array(eigenvalues)))
 
     def test_accepts_reduced_density(self):
         rho = reduced_density(initial_sector_state(3, 1), 1)
@@ -230,6 +276,7 @@ class TestVerifyClosedForm:
         monkeypatch.setattr(oracle, "schmidt_eigenvalues", nan_at_second_sample)
         report = verify_closed_form(ModelSpec(4, 1), [0.0, 0.3, 0.7])
         assert math.isnan(report.max_spectrum_deviation)
+        assert math.isnan(report.max_entropy_deviation)
         assert not report.passed
 
     def test_single_excitation_matches_analytic_entropy(self):
