@@ -13,7 +13,6 @@ import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -27,10 +26,6 @@ from .oracle import (
 )
 from .svgplot import line_plot
 
-DEFAULT_N = 4
-DEFAULT_M = 1
-DEFAULT_STEPS = 512
-VERIFY_DEFAULT_N_MAX = 8
 VERIFY_SAMPLES = 64
 WORKER_ENV_VAR = "SPINVDW_WORKERS"
 
@@ -45,27 +40,10 @@ class UsageError(ValueError):
     """Invalid run configuration (maps to exit code 2)."""
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    command: str
-    n_total: int
-    m_excited: int
-    m_explicit: bool  # m came from a flag or config file, not the default
-    tau_max: float
-    steps: int
-    output_path: Path | None
-    svg: bool
-    n_range: tuple[int, int]
-    out_dir: Path | None
-
-
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
-        config = _resolve_config(args)
-        handler = _COMMANDS[config.command]
-        return handler(config)
+        args = _parse_args(argv)
+        return _COMMANDS[args.command][0](args)
     except (UsageError, BudgetExceededError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -74,7 +52,8 @@ def main(argv=None) -> int:
         return 1
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser and, by name, the subcommand parsers."""
     parser = argparse.ArgumentParser(
         prog="spinvdw",
         description="Exact entanglement dynamics of equivalent-neighbor spin-1/2 XY systems.",
@@ -86,34 +65,36 @@ def _build_parser() -> argparse.ArgumentParser:
         help="optional key=value config file (flags take precedence)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    evolve = sub.add_parser("evolve", help="Schmidt spectrum and entropy along a time grid")
-    evolve.add_argument("--n", type=int, default=None, help="total number of sites")
-    evolve.add_argument("--m", type=int, default=None, help="initially excited sites")
-    evolve.add_argument("--tau-max", type=float, default=None, help="end of the tau grid (default one period 2*pi/N)")
-    evolve.add_argument("--steps", type=int, default=None, help="number of grid points, endpoints included")
-    evolve.add_argument("--out", type=Path, default=None, help="output CSV path")
-    evolve.add_argument("--svg", action="store_true", default=None, help="also write an SVG plot next to the CSV")
-
-    maxima = sub.add_parser("maxima", help="maximum entanglement per system size (single excitation)")
-    maxima.add_argument("--n-min", type=int, default=None)
-    maxima.add_argument("--n-max", type=int, default=None)
-    maxima.add_argument("--out", type=Path, default=None, help="output CSV path")
-
-    verify = sub.add_parser("verify", help="cross-check closed forms against dense diagonalization")
-    verify.add_argument("--n-max", type=int, default=None)
-    verify.add_argument("--m", type=int, default=None, help="restrict to one excitation count (default: all M <= N/2)")
-    verify.add_argument("--out", type=Path, default=None, help="optional report file")
-
-    figures = sub.add_parser("figures", help="emit the bundled curve-family datasets")
-    figures.add_argument("--out-dir", type=Path, default=None)
-    figures.add_argument("--svg", action="store_true", default=None, help="also write SVG plots")
-
-    return parser
+    for name, (_, help_text, options) in _COMMANDS.items():
+        command = sub.add_parser(name, help=help_text)
+        for flag, kind, default, flag_help in options:
+            kwargs = {"action": "store_true"} if kind is bool else {"type": kind}
+            command.add_argument(flag, default=default, help=flag_help, **kwargs)
+    return parser, sub.choices
 
 
-def _load_config_file(path: Path) -> dict[str, str]:
-    values: dict[str, str] = {}
+def _parse_args(argv) -> argparse.Namespace:
+    """Flags > config file > declared defaults.
+
+    The config file's values become the chosen subcommand's defaults, and
+    the command line is parsed again on top of them.
+    """
+    parser, commands = _build_parser()
+    args = parser.parse_args(argv)
+    if args.config is not None:
+        commands[args.command].set_defaults(**_load_config_file(args.config, args.command))
+        args = parser.parse_args(argv)
+    return args
+
+
+def _load_config_file(path: Path, command: str) -> dict[str, object]:
+    """``key=value`` lines, each naming a flag of ``command`` with underscores
+    for dashes (``tau_max=0.5``) and cast with that flag's type."""
+    casts = {
+        flag.lstrip("-").replace("-", "_"): _cast_bool if kind is bool else kind
+        for flag, kind, _, _ in _COMMANDS[command][2]
+    }
+    values: dict[str, object] = {}
     try:
         lines = path.read_text().splitlines()
     except OSError as exc:
@@ -124,21 +105,16 @@ def _load_config_file(path: Path) -> dict[str, str]:
             continue
         if "=" not in line:
             raise UsageError(f"malformed config line: {raw!r}")
-        key, _, value = line.partition("=")
-        values[key.strip()] = value.strip()
-    return values
-
-
-def _pick(flag, file_values: dict[str, str], key: str, cast, default):
-    """Flag > config file > default."""
-    if flag is not None:
-        return flag
-    if key in file_values:
+        key, _, text = (part.strip() for part in line.partition("="))
+        if key not in casts:
+            raise UsageError(
+                f"unknown config key {key!r} for {command}; expected one of {', '.join(casts)}"
+            )
         try:
-            return cast(file_values[key])
+            values[key] = casts[key](text)
         except ValueError as exc:
-            raise UsageError(f"bad config value for {key}: {file_values[key]!r}") from exc
-    return default
+            raise UsageError(f"bad config value for {key}: {text!r}") from exc
+    return values
 
 
 def _cast_bool(text: str) -> bool:
@@ -150,45 +126,9 @@ def _cast_bool(text: str) -> bool:
     raise ValueError(text)
 
 
-def _resolve_config(args: argparse.Namespace) -> RunConfig:
-    file_values = _load_config_file(args.config) if args.config else {}
-    n_total = _pick(getattr(args, "n", None), file_values, "n", int, DEFAULT_N)
-    m_given = _pick(getattr(args, "m", None), file_values, "m", int, None)
-    m_excited = DEFAULT_M if m_given is None else m_given
-    if n_total < 2:
-        raise UsageError(f"n must be >= 2, got {n_total}")
-    n_min = _pick(getattr(args, "n_min", None), file_values, "n_min", int, 2)
-    default_n_max = VERIFY_DEFAULT_N_MAX if args.command == "verify" else FIG3_N_MAX
-    n_max = _pick(getattr(args, "n_max", None), file_values, "n_max", int, default_n_max)
+def _check_n_range(n_min: int, n_max: int) -> None:
     if n_min < 2 or n_max < n_min:
         raise UsageError(f"need 2 <= n-min <= n-max, got {n_min}..{n_max}")
-    # verify's m restricts a sweep up to n-max; the other commands pin m to n
-    m_bound = n_max if args.command == "verify" else n_total
-    if not 0 <= m_excited <= m_bound:
-        raise UsageError(f"m must lie in 0..{m_bound}, got {m_excited}")
-    tau_max = _pick(
-        getattr(args, "tau_max", None), file_values, "tau_max", float, 2.0 * math.pi / n_total
-    )
-    if not (math.isfinite(tau_max) and tau_max > 0):
-        raise UsageError(f"tau-max must be positive and finite, got {tau_max}")
-    steps = _pick(getattr(args, "steps", None), file_values, "steps", int, DEFAULT_STEPS)
-    if steps < 2:
-        raise UsageError(f"steps must be >= 2, got {steps}")
-    out = _pick(getattr(args, "out", None), file_values, "out", Path, None)
-    out_dir = _pick(getattr(args, "out_dir", None), file_values, "out_dir", Path, Path("figures"))
-    svg = _pick(getattr(args, "svg", None), file_values, "svg", _cast_bool, False)
-    return RunConfig(
-        command=args.command,
-        n_total=n_total,
-        m_excited=m_excited,
-        m_explicit=m_given is not None,
-        tau_max=tau_max,
-        steps=steps,
-        output_path=out,
-        svg=bool(svg),
-        n_range=(n_min, n_max),
-        out_dir=out_dir,
-    )
 
 
 def _fmt(value: float) -> str:
@@ -201,19 +141,28 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
-def cmd_evolve(config: RunConfig) -> int:
-    spec = ModelSpec(config.n_total, config.m_excited)
-    if config.output_path is None:
+def cmd_evolve(args: argparse.Namespace) -> int:
+    if args.n < 2:
+        raise UsageError(f"n must be >= 2, got {args.n}")
+    if not 0 <= args.m <= args.n:
+        raise UsageError(f"m must lie in 0..{args.n}, got {args.m}")
+    tau_max = 2.0 * math.pi / args.n if args.tau_max is None else args.tau_max
+    if not (math.isfinite(tau_max) and tau_max > 0):
+        raise UsageError(f"tau-max must be positive and finite, got {tau_max}")
+    if args.steps < 2:
+        raise UsageError(f"steps must be >= 2, got {args.steps}")
+    spec = ModelSpec(args.n, args.m)
+    if args.out is None:
         raise UsageError("evolve needs --out")
-    taus = np.linspace(0.0, config.tau_max, config.steps)
+    taus = np.linspace(0.0, tau_max, args.steps)
     probs, entropies = entropy_grid(spec, taus)
     header = ["tau"] + [f"p_{m}" for m in range(spec.m_prime + 1)] + ["entropy"]
     rows = (
         [_fmt(tau)] + [_fmt(p) for p in row] + [_fmt(ent)]
         for tau, row, ent in zip(taus, probs, entropies)
     )
-    _write_csv(config.output_path, header, rows)
-    if config.svg:
+    _write_csv(args.out, header, rows)
+    if args.svg:
         series = [(f"p_{m}", taus, probs[:, m]) for m in range(spec.m_prime + 1)]
         series.append(("entropy", taus, entropies))
         svg = line_plot(
@@ -222,20 +171,15 @@ def cmd_evolve(config: RunConfig) -> int:
             x_label="tau",
             y_label="probability / ebits",
         )
-        config.output_path.with_suffix(".svg").write_text(svg)
+        args.out.with_suffix(".svg").write_text(svg)
     return 0
 
 
-def cmd_maxima(config: RunConfig) -> int:
-    if config.m_excited != 1:
-        raise UsageError(
-            "maxima covers the single-excitation case only; closed-form critical "
-            "times exist for m = 1 (use evolve for other excitation counts)"
-        )
-    if config.output_path is None:
+def cmd_maxima(args: argparse.Namespace) -> int:
+    _check_n_range(args.n_min, args.n_max)
+    if args.out is None:
         raise UsageError("maxima needs --out")
-    n_min, n_max = config.n_range
-    rows = [row for row in magic_number_scan(n_max) if row.n_total >= n_min]
+    rows = [row for row in magic_number_scan(args.n_max) if row.n_total >= args.n_min]
     header = ["n", "tau_prime", "tau_double_prime", "max_entropy", "argmax_tau"]
     csv_rows = (
         [
@@ -247,7 +191,7 @@ def cmd_maxima(config: RunConfig) -> int:
         ]
         for row in rows
     )
-    _write_csv(config.output_path, header, csv_rows)
+    _write_csv(args.out, header, csv_rows)
     return 0
 
 
@@ -262,23 +206,23 @@ def _worker_count() -> int:
     return workers
 
 
-def cmd_verify(config: RunConfig) -> int:
-    n_min, n_max = config.n_range
+def cmd_verify(args: argparse.Namespace) -> int:
+    n_max = args.n_max
+    _check_n_range(2, n_max)
+    if args.m is not None and not 0 <= args.m <= n_max:
+        raise UsageError(f"m must lie in 0..{n_max}, got {args.m}")
     if n_max > SECTOR_SITE_BUDGET:
         raise UsageError(
             f"verify is limited to n-max <= {SECTOR_SITE_BUDGET} (dense-solver budget)"
         )
     pairs = []
-    for n in range(n_min, n_max + 1):
-        if config.m_explicit:
-            if config.m_excited <= n:
-                pairs.append((n, config.m_excited))
-        else:
+    for n in range(2, n_max + 1):
+        if args.m is None:
             pairs.extend((n, m) for m in range(0, n // 2 + 1))
+        elif args.m <= n:
+            pairs.append((n, args.m))
     if not pairs:
-        raise UsageError(
-            f"no (N, M) sectors to verify for m={config.m_excited}, n-max={n_max}"
-        )
+        raise UsageError(f"no (N, M) sectors to verify for m={args.m}, n-max={n_max}")
 
     def check(pair):
         n, m = pair
@@ -310,13 +254,13 @@ def cmd_verify(config: RunConfig) -> int:
     )
     text = "\n".join(lines) + "\n"
     sys.stdout.write(text)
-    if config.output_path is not None:
-        config.output_path.write_text(text)
+    if args.out is not None:
+        args.out.write_text(text)
     return 0 if all_passed else 1
 
 
-def cmd_figures(config: RunConfig) -> int:
-    out_dir = config.out_dir if config.out_dir is not None else Path("figures")
+def cmd_figures(args: argparse.Namespace) -> int:
+    out_dir = args.out_dir
     out_dir.mkdir(parents=True, exist_ok=True)
 
     # family 1: Schmidt probabilities and entropy over one period per N
@@ -358,7 +302,7 @@ def cmd_figures(config: RunConfig) -> int:
     rows3 = [[str(row.n_total), _fmt(row.max_entropy)] for row in scan]
     _write_csv(out_dir / "fig3.csv", header3, rows3)
 
-    if config.svg:
+    if args.svg:
         (out_dir / "fig1.svg").write_text(
             line_plot(series1, title="Schmidt probabilities and entanglement, M=1",
                       x_label="tau", y_label="probability / ebits")
@@ -378,11 +322,33 @@ def cmd_figures(config: RunConfig) -> int:
     return 0
 
 
+# Each subcommand's handler, help and options.  Every option is declared once
+# as (flag, type, default, help): the parser is built from these, and a config
+# file key is a flag of the chosen subcommand with underscores for dashes.
+# A bool option is a switch.
 _COMMANDS = {
-    "evolve": cmd_evolve,
-    "maxima": cmd_maxima,
-    "verify": cmd_verify,
-    "figures": cmd_figures,
+    "evolve": (cmd_evolve, "Schmidt spectrum and entropy along a time grid", (
+        ("--n", int, 4, "total number of sites"),
+        ("--m", int, 1, "initially excited sites"),
+        ("--tau-max", float, None, "end of the tau grid (default one period 2*pi/N)"),
+        ("--steps", int, 512, "number of grid points, endpoints included"),
+        ("--out", Path, None, "output CSV path"),
+        ("--svg", bool, False, "also write an SVG plot next to the CSV"),
+    )),
+    "maxima": (cmd_maxima, "maximum entanglement per system size (single excitation)", (
+        ("--n-min", int, 2, None),
+        ("--n-max", int, FIG3_N_MAX, None),
+        ("--out", Path, None, "output CSV path"),
+    )),
+    "verify": (cmd_verify, "cross-check closed forms against dense diagonalization", (
+        ("--n-max", int, 8, None),
+        ("--m", int, None, "restrict to one excitation count (default: all M <= N/2)"),
+        ("--out", Path, None, "optional report file"),
+    )),
+    "figures": (cmd_figures, "emit the bundled curve-family datasets", (
+        ("--out-dir", Path, Path("figures"), None),
+        ("--svg", bool, False, "also write SVG plots"),
+    )),
 }
 
 

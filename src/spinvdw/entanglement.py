@@ -79,7 +79,7 @@ def schmidt_spectrum(amps: AmplitudeVector) -> SchmidtSpectrum:
     degeneracy = np.array(schmidt_multiplicities(amps.spec), dtype=float)
     probs = degeneracy * np.abs(amps.amplitudes) ** 2
     total = float(probs.sum())
-    if abs(total - 1.0) > NORMALIZATION_TOLERANCE:
+    if not abs(total - 1.0) <= NORMALIZATION_TOLERANCE:  # NaN fails too
         raise NormalizationError(f"amplitudes are not normalized: sum(P) = {total!r}")
     return SchmidtSpectrum(amps.spec, amps.tau, probs)
 
@@ -135,7 +135,7 @@ def entropy_grid(spec: ModelSpec, tau_grid) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError("tau grid must hold finite times only")
     probs, entropies = backend.schmidt_entropy_grid(*kernel_inputs(spec), taus)
     drift = float(np.max(np.abs(probs.sum(axis=1) - 1.0)))
-    if drift > NORMALIZATION_TOLERANCE:
+    if not drift <= NORMALIZATION_TOLERANCE:  # NaN fails too
         raise NormalizationError(f"normalization drift {drift!r} on tau grid")
     return probs, entropies
 

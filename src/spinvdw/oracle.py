@@ -35,8 +35,9 @@ class SectorBasis:
 
     n_total: int
     excitation_count: int
-    states: tuple[int, ...]
-    index: dict[int, int]
+    # both follow from (n_total, excitation_count), so equality skips them
+    states: tuple[int, ...] = field(compare=False)
+    index: dict[int, int] = field(compare=False)
 
 
 @dataclass(eq=False)
@@ -171,7 +172,7 @@ def reduced_density(state: SectorState, partition_size: int) -> ReducedDensity:
         )
     rho = _partial_density(state, partition_size, keep_first=True)
     trace = float(np.trace(rho).real)
-    if abs(trace - 1.0) > 1e-10:
+    if not abs(trace - 1.0) <= 1e-10:  # NaN fails too
         raise ValueError(f"reduced density has trace {trace!r}")
     eigenvalues = np.linalg.eigvalsh(rho)[::-1]
     return ReducedDensity(partition_size, rho, eigenvalues)

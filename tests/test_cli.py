@@ -4,13 +4,16 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from spinvdw.cli import main
+from spinvdw.cli import _build_parser, _parse_args, main
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
 
@@ -90,6 +93,39 @@ class TestEvolve:
         out = tmp_path / "x.csv"
         assert main(["evolve", "--n", "3", f"--tau-max={tau_max}", "--out", str(out)]) == 2
         assert not out.exists()
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_tau_max_is_runtime_error(self, tmp_path):
+        # finite tau-max, but tau * phase overflows and the spectrum is NaN
+        out = tmp_path / "x.csv"
+        code = main(["evolve", "--n", "4", "--tau-max", "1e308", "--steps", "3", "--out", str(out)])
+        assert code == 1
+        assert not out.exists()
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        n=st.integers(-1, 40),
+        m=st.integers(-1, 42),
+        steps=st.integers(-1, 40),
+        tau_max=st.floats(-1e6, 1e6)
+        | st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf]),
+    )
+    def test_property_finite_rows_or_usage_error(self, n, m, steps, tau_max):
+        valid = n >= 2 and 0 <= m <= n and steps >= 2 and math.isfinite(tau_max) and tau_max > 0
+        with tempfile.TemporaryDirectory() as tmp:
+            out = Path(tmp) / "x.csv"
+            code = main(
+                ["evolve", f"--n={n}", f"--m={m}", f"--steps={steps}",
+                 f"--tau-max={tau_max!r}", "--out", str(out)]
+            )
+            if not valid:
+                assert code == 2
+                assert not out.exists()
+                return
+            assert code == 0
+            _, rows = read_csv(out)
+            assert len(rows) == steps
+            assert all(math.isfinite(float(value)) for row in rows for value in row)
 
 
 class TestMaxima:
@@ -243,6 +279,47 @@ class TestConfigPrecedence:
         config.write_text("steps 12\n")
         out = tmp_path / "x.csv"
         assert main(["--config", str(config), "evolve", "--out", str(out)]) == 2
+
+    @pytest.mark.parametrize(
+        "command,line,flags",
+        [
+            ("evolve", "stpes=3", ["--n", "3"]),  # typo
+            ("verify", "n=5", ["--n-max", "3"]),  # another command's key
+            ("maxima", "tau_max=1", ["--n-max", "3"]),
+            ("evolve", "steps=abc", ["--n", "3"]),  # bad value
+        ],
+    )
+    def test_bad_config_line_rejected(self, tmp_path, command, line, flags):
+        config = tmp_path / "run.cfg"
+        config.write_text(line + "\n")
+        out = tmp_path / "out.txt"
+        assert main(["--config", str(config), command, *flags, "--out", str(out)]) == 2
+        assert not out.exists()
+
+    def test_config_switch_writes_svg(self, tmp_path):
+        config = tmp_path / "run.cfg"
+        config.write_text("svg=true\n")
+        out = tmp_path / "evolve.csv"
+        code = main(["--config", str(config), "evolve", "--n", "3", "--steps", "4", "--out", str(out)])
+        assert code == 0
+        assert out.with_suffix(".svg").exists()
+
+    def test_every_flag_is_a_config_key(self, tmp_path):
+        # (text in the file, parsed value) by the flag's type; None is a switch
+        samples = {
+            int: ("3", 3), float: ("0.5", 0.5), Path: ("x.csv", Path("x.csv")), None: ("true", True),
+        }
+        _, commands = _build_parser()
+        config = tmp_path / "run.cfg"
+        for name, command in commands.items():
+            for action in command._actions:
+                if not action.option_strings or action.dest == "help":
+                    continue
+                key = action.option_strings[0].lstrip("-").replace("-", "_")
+                text, value = samples[action.type]
+                config.write_text(f"{key}={text}\n")
+                args = _parse_args(["--config", str(config), name])
+                assert getattr(args, action.dest) == value, (name, key)
 
 
 class TestModuleEntryPoint:

@@ -59,6 +59,13 @@ class TestSchmidtSpectrum:
         with pytest.raises(NormalizationError):
             schmidt_spectrum(bad)
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_nan_amplitudes_rejected(self):
+        # tau * phase overflows to inf and cos(inf) is NaN
+        spec = ModelSpec(4, 1)
+        with pytest.raises(NormalizationError):
+            schmidt_spectrum(amplitudes_at(spec, b_table(spec), 1e308))
+
 
 class TestEntropy:
     def test_uniform_two_outcomes(self):
@@ -130,6 +137,12 @@ class TestEntropySeries:
         assert np.max(np.abs(probs.sum(axis=1) - 1.0)) < 1e-12
         assert entropies.min() >= 0.0
         assert entropies.max() <= math.log2(spec.m_prime + 1) + 1e-12
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_phase_rejected(self):
+        # a finite tau whose phase overflows gives NaN probabilities
+        with pytest.raises(NormalizationError):
+            entropy_grid(ModelSpec(4, 1), [0.0, 1e308])
 
     def test_single_excitation_probability_closed_form(self):
         rng = np.random.default_rng(5)

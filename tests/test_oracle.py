@@ -142,6 +142,12 @@ class TestReducedDensity:
             eig = schmidt_eigenvalues(state, m)
             assert int((eig > 1e-12).sum()) <= min(m, n - m) + 1
 
+    def test_nan_state_rejected(self):
+        basis = sector_basis(4, 2)
+        amplitudes = np.full(len(basis.states), np.nan, dtype=complex)
+        with pytest.raises(ValueError, match="trace"):
+            reduced_density(SectorState(basis, amplitudes), 2)
+
     def test_invalid_partition(self):
         state = initial_sector_state(4, 2)
         with pytest.raises(ValueError):
