@@ -13,6 +13,10 @@ KERNEL_BACKEND = "python"
 # Probabilities below this are treated as exact zeros in p*log2(p).
 ZERO_CUTOFF = 1e-300
 
+# Grid rows evaluated per block: the kernel's temporaries scale with this,
+# not with the grid length.
+BLOCK_ROWS = 8192
+
 
 def schmidt_entropy_grid(b, phases, degeneracy, taus):
     """Schmidt probabilities and base-2 entropies for every grid time.
@@ -21,11 +25,36 @@ def schmidt_entropy_grid(b, phases, degeneracy, taus):
     oscillation frequencies and ``degeneracy`` the Schmidt multiplicities,
     all as float64.  Returns ``(probs, entropies)`` with shapes
     ``(len(taus), M'+1)`` and ``(len(taus),)``.
+
+    The grid is walked in blocks of ``BLOCK_ROWS`` rows in real arithmetic,
+    so temporaries scale with the block, not with the grid.  A block's cos
+    and sin are stacked into one matrix, so every block, a lone row
+    included, takes the BLAS matrix-matrix path: a matrix-vector product
+    would round a lone row differently from the same row inside a grid.  An
+    overflowing phase gives NaN rows without a warning; the callers'
+    normalization checks reject them.
     """
-    angles = np.multiply.outer(np.asarray(taus, float), np.asarray(phases, float))
-    amps = (np.cos(angles) + 1j * np.sin(angles)) @ np.asarray(b, float).T
-    probs = np.asarray(degeneracy, float) * (amps.real**2 + amps.imag**2)
-    safe = np.where(probs > ZERO_CUTOFF, probs, 1.0)
-    entropies = -(np.where(probs > ZERO_CUTOFF, probs, 0.0) * np.log2(safe)).sum(axis=1)
-    # entropy is nonnegative; rounding of p log p at p ~ 1 can leave -1e-16
-    return probs, np.maximum(entropies, 0.0)
+    taus = np.asarray(taus, float)
+    phases = np.asarray(phases, float)
+    b_t = np.asarray(b, float).T
+    degeneracy = np.asarray(degeneracy, float)
+    probs = np.empty((taus.shape[0], phases.shape[0]))
+    entropies = np.empty(taus.shape[0])
+    for start in range(0, taus.shape[0], BLOCK_ROWS):
+        block = slice(start, start + BLOCK_ROWS)
+        p = probs[block]
+        rows = p.shape[0]
+        trig = np.empty((2 * rows, phases.shape[0]))
+        with np.errstate(over="ignore", invalid="ignore"):
+            angles = np.multiply.outer(taus[block], phases)
+            np.cos(angles, out=trig[:rows])
+            np.sin(angles, out=trig[rows:])
+        amps = trig @ b_t
+        re, im = amps[:rows], amps[rows:]
+        np.multiply(degeneracy, re * re + im * im, out=p)
+        # p log2 p with 0 log 0 = 0: below the cutoff p is multiplied by log2(1) = 0
+        safe = np.where(p > ZERO_CUTOFF, p, 1.0)
+        block_entropy = -(p * np.log2(safe)).sum(axis=1)
+        # entropy is nonnegative; rounding of p log p at p ~ 1 can leave -1e-16
+        np.maximum(block_entropy, 0.0, out=entropies[block])
+    return probs, entropies

@@ -135,10 +135,14 @@ def _fmt(value: float) -> str:
     return repr(float(value))
 
 
-def _write_csv(path: Path, header: list[str], rows) -> None:
-    lines = [",".join(header)]
-    lines.extend(",".join(row) for row in rows)
-    path.write_text("\n".join(lines) + "\n")
+def _float_lines(columns, prefix: str = "") -> list[str]:
+    """One CSV line per row of the stacked float columns, each value in
+    shortest round-trip form (``repr`` of the Python float)."""
+    return [prefix + ",".join(map(repr, row)) for row in np.column_stack(columns).tolist()]
+
+
+def _write_csv(path: Path, header: list[str], lines) -> None:
+    path.write_text("\n".join([",".join(header), *lines]) + "\n")
 
 
 def cmd_evolve(args: argparse.Namespace) -> int:
@@ -157,11 +161,7 @@ def cmd_evolve(args: argparse.Namespace) -> int:
     taus = np.linspace(0.0, tau_max, args.steps)
     probs, entropies = entropy_grid(spec, taus)
     header = ["tau"] + [f"p_{m}" for m in range(spec.m_prime + 1)] + ["entropy"]
-    rows = (
-        [_fmt(tau)] + [_fmt(p) for p in row] + [_fmt(ent)]
-        for tau, row, ent in zip(taus, probs, entropies)
-    )
-    _write_csv(args.out, header, rows)
+    _write_csv(args.out, header, _float_lines([taus, probs, entropies]))
     if args.svg:
         series = [(f"p_{m}", taus, probs[:, m]) for m in range(spec.m_prime + 1)]
         series.append(("entropy", taus, entropies))
@@ -181,17 +181,17 @@ def cmd_maxima(args: argparse.Namespace) -> int:
         raise UsageError("maxima needs --out")
     rows = [row for row in magic_number_scan(args.n_max) if row.n_total >= args.n_min]
     header = ["n", "tau_prime", "tau_double_prime", "max_entropy", "argmax_tau"]
-    csv_rows = (
-        [
+    lines = (
+        ",".join([
             str(row.n_total),
             _fmt(row.t_prime) if row.t_prime is not None else "",
             _fmt(row.t_double_prime),
             _fmt(row.max_entropy),
             _fmt(row.argmax_tau),
-        ]
+        ])
         for row in rows
     )
-    _write_csv(args.out, header, csv_rows)
+    _write_csv(args.out, header, lines)
     return 0
 
 
@@ -271,10 +271,7 @@ def cmd_figures(args: argparse.Namespace) -> int:
         spec = ModelSpec(n, 1)
         taus = np.linspace(0.0, 2.0 * math.pi / n, FIG1_GRID + 1)
         probs, entropies = entropy_grid(spec, taus)
-        rows1.extend(
-            [str(n), _fmt(tau), _fmt(row[0]), _fmt(row[1]), _fmt(ent)]
-            for tau, row, ent in zip(taus, probs, entropies)
-        )
+        rows1.extend(_float_lines([taus, probs, entropies], prefix=f"{n},"))
         series1.append((f"p_0 N={n}", taus, probs[:, 0]))
         series1.append((f"p_1 N={n}", taus, probs[:, 1]))
         series1.append((f"E N={n}", taus, entropies))
@@ -289,17 +286,14 @@ def cmd_figures(args: argparse.Namespace) -> int:
         taus = np.linspace(0.0, 2.0 * math.pi / n, FIG2_GRID + 1)
         _, entropies = entropy_grid(spec, taus)
         rescaled = n * taus
-        rows2.extend(
-            [str(n), _fmt(tau), _fmt(r), _fmt(ent)]
-            for tau, r, ent in zip(taus, rescaled, entropies)
-        )
+        rows2.extend(_float_lines([taus, rescaled, entropies], prefix=f"{n},"))
         series2.append((f"N={n}", rescaled, entropies))
     _write_csv(out_dir / "fig2.csv", header2, rows2)
 
     # family 3: maximum entanglement against system size
     scan = magic_number_scan(FIG3_N_MAX)
     header3 = ["n", "max_entropy"]
-    rows3 = [[str(row.n_total), _fmt(row.max_entropy)] for row in scan]
+    rows3 = [f"{row.n_total},{_fmt(row.max_entropy)}" for row in scan]
     _write_csv(out_dir / "fig3.csv", header3, rows3)
 
     if args.svg:

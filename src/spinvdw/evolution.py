@@ -55,6 +55,8 @@ def amplitudes_at(spec: ModelSpec, table: BCoefficientTable, tau: float) -> Ampl
     tau = float(tau)
     if not math.isfinite(tau):
         raise ValueError(f"tau must be finite, got {tau!r}")
-    angles = phase_spectrum(spec).phases * tau
-    oscillation = np.cos(angles) + 1j * np.sin(angles)
+    # an overflowing phase gives NaN amplitudes, which schmidt_spectrum rejects
+    with np.errstate(over="ignore", invalid="ignore"):
+        angles = phase_spectrum(spec).phases * tau
+        oscillation = np.cos(angles) + 1j * np.sin(angles)
     return AmplitudeVector(spec, tau, table.as_array() @ oscillation)

@@ -25,6 +25,15 @@ def read_csv(path):
     return header, rows
 
 
+def run_module(*args, cwd):
+    """``python -m spinvdw.cli ARGS`` in a fresh interpreter, output captured."""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    return subprocess.run(
+        [sys.executable, "-m", "spinvdw.cli", *args],
+        capture_output=True, text=True, env=env, cwd=cwd,
+    )
+
+
 class TestEvolve:
     def test_two_site_quarter_period(self, tmp_path):
         out = tmp_path / "evolve.csv"
@@ -101,6 +110,13 @@ class TestEvolve:
         code = main(["evolve", "--n", "4", "--tau-max", "1e308", "--steps", "3", "--out", str(out)])
         assert code == 1
         assert not out.exists()
+        # the whole of stderr is the one error line, with no numpy warning
+        proc = run_module(
+            "evolve", "--n", "4", "--tau-max", "1e308", "--steps", "3", "--out", str(out),
+            cwd=tmp_path,
+        )
+        assert proc.returncode == 1
+        assert proc.stderr.splitlines() == ["error: normalization drift nan on tau grid"]
 
     @settings(max_examples=50, deadline=None)
     @given(
@@ -325,23 +341,15 @@ class TestConfigPrecedence:
 class TestModuleEntryPoint:
     """``python -m spinvdw.cli`` runs the same front end as the console script."""
 
-    @staticmethod
-    def run_module(*args, cwd):
-        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
-        return subprocess.run(
-            [sys.executable, "-m", "spinvdw.cli", *args],
-            capture_output=True, text=True, env=env, cwd=cwd,
-        )
-
     def test_maxima_writes_csv(self, tmp_path):
         out = tmp_path / "maxima.csv"
-        proc = self.run_module("maxima", "--n-max", "3", "--out", str(out), cwd=tmp_path)
+        proc = run_module("maxima", "--n-max", "3", "--out", str(out), cwd=tmp_path)
         assert proc.returncode == 0, proc.stderr
         header, rows = read_csv(out)
         assert header == ["n", "tau_prime", "tau_double_prime", "max_entropy", "argmax_tau"]
         assert [row[0] for row in rows] == ["2", "3"]
 
     def test_missing_subcommand_is_usage_error(self, tmp_path):
-        proc = self.run_module(cwd=tmp_path)
+        proc = run_module(cwd=tmp_path)
         assert proc.returncode == 2
         assert "usage:" in proc.stderr

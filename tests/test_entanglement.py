@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -62,8 +63,10 @@ class TestSchmidtSpectrum:
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_nan_amplitudes_rejected(self):
         # tau * phase overflows to inf and cos(inf) is NaN
+        # ... silently: a numpy warning would reach stderr beside the error
         spec = ModelSpec(4, 1)
-        with pytest.raises(NormalizationError):
+        with warnings.catch_warnings(), pytest.raises(NormalizationError):
+            warnings.simplefilter("error")
             schmidt_spectrum(amplitudes_at(spec, b_table(spec), 1e308))
 
 
@@ -140,8 +143,9 @@ class TestEntropySeries:
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_overflowing_phase_rejected(self):
-        # a finite tau whose phase overflows gives NaN probabilities
-        with pytest.raises(NormalizationError):
+        # a finite tau whose phase overflows gives NaN probabilities, silently
+        with warnings.catch_warnings(), pytest.raises(NormalizationError):
+            warnings.simplefilter("error")
             entropy_grid(ModelSpec(4, 1), [0.0, 1e308])
 
     def test_single_excitation_probability_closed_form(self):
