@@ -26,11 +26,17 @@ def schmidt_entropy_grid(b, phases, degeneracy, taus):
     all as float64.  Returns ``(probs, entropies)`` with shapes
     ``(len(taus), M'+1)`` and ``(len(taus),)``.
 
-    The grid is walked in blocks of ``BLOCK_ROWS`` rows in real arithmetic,
-    so temporaries scale with the block, not with the grid.  A block's cos
-    and sin are stacked into one matrix, so every block, a lone row
-    included, takes the BLAS matrix-matrix path: a matrix-vector product
-    would round a lone row differently from the same row inside a grid.  An
+    The grid is walked in real arithmetic, in blocks of at most
+    ``BLOCK_ROWS`` rows, so temporaries scale with the block, not with the
+    grid.  A longer grid is cut into ceil(T / BLOCK_ROWS) blocks whose
+    lengths differ by at most one row, so none is shorter than
+    ``BLOCK_ROWS / 2``: a short trailing block could take a small-matrix
+    BLAS kernel that rounds unlike the one the other blocks take.  A block's
+    cos and sin are stacked into one matrix, so every block, a lone row
+    included, takes the matrix-matrix product rather than the matrix-vector
+    one.  A grid shorter than about ``BLOCK_ROWS / 2`` rows can still round
+    in the last bit unlike the same rows of a longer grid once M'+1 is about
+    32 or more, where OpenBLAS may pick its small-matrix kernel.  An
     overflowing phase gives NaN rows without a warning; the callers'
     normalization checks reject them.
     """
@@ -40,8 +46,10 @@ def schmidt_entropy_grid(b, phases, degeneracy, taus):
     degeneracy = np.asarray(degeneracy, float)
     probs = np.empty((taus.shape[0], phases.shape[0]))
     entropies = np.empty(taus.shape[0])
-    for start in range(0, taus.shape[0], BLOCK_ROWS):
-        block = slice(start, start + BLOCK_ROWS)
+    blocks = max(1, -(-taus.shape[0] // BLOCK_ROWS))
+    bounds = [taus.shape[0] * k // blocks for k in range(blocks + 1)]
+    for start, stop in zip(bounds[:-1], bounds[1:]):
+        block = slice(start, stop)
         p = probs[block]
         rows = p.shape[0]
         trig = np.empty((2 * rows, phases.shape[0]))

@@ -158,6 +158,8 @@ def cmd_evolve(args: argparse.Namespace) -> int:
     spec = ModelSpec(args.n, args.m)
     if args.out is None:
         raise UsageError("evolve needs --out")
+    if args.svg and args.out.with_suffix(".svg") == args.out:
+        raise UsageError(f"--svg would overwrite the CSV {args.out}; give --out another suffix")
     taus = np.linspace(0.0, tau_max, args.steps)
     probs, entropies = entropy_grid(spec, taus)
     header = ["tau"] + [f"p_{m}" for m in range(spec.m_prime + 1)] + ["entropy"]

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spinvdw.cli import _build_parser, _parse_args, main
+from spinvdw.svgplot import line_plot
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
 
@@ -88,6 +89,30 @@ class TestEvolve:
         assert len(lines) == 4  # p_0, p_1, p_2, entropy for M' = 2
         for line in lines:
             assert len(line.attrib["points"].split()) == len(rows)
+
+    def test_long_grid_svg_at_pixel_resolution(self, tmp_path):
+        out = tmp_path / "evolve.csv"
+        code = main(
+            ["evolve", "--n", "24", "--m", "12", "--steps", "60000",
+             "--out", str(out), "--svg"]
+        )
+        assert code == 0
+        _, rows = read_csv(out)
+        assert len(rows) == 60000
+        lines = ET.fromstring(out.with_suffix(".svg").read_text()).findall(f".//{SVG_NS}polyline")
+        assert len(lines) == 14  # p_0 .. p_12 and the entropy
+        for line in lines:
+            # at most four points in each of the 547 pixel columns of the plot
+            assert len(line.attrib["points"].split()) <= 4 * 547
+
+    def test_svg_suffix_out_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "run.svg"
+        assert main(["evolve", "--n", "3", "--out", str(out), "--svg"]) == 2
+        assert "overwrite" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+        # without --svg the suffix is just a file name
+        assert main(["evolve", "--n", "3", "--out", str(out)]) == 0
+        assert read_csv(out)[0] == ["tau", "p_0", "p_1", "entropy"]
 
     def test_unwritable_path_fails_with_runtime_code(self, tmp_path):
         code = main(["evolve", "--n", "2", "--out", str(tmp_path / "no" / "dir" / "x.csv")])
@@ -269,8 +294,17 @@ class TestFigures:
         assert len(lines) == 9  # N = 2..10
         _, rows = read_csv(fig_dir / "fig2.csv")
         per_n = len(rows) // 9
-        for line in lines:
-            assert len(line.attrib["points"].split()) == per_n
+        # A 4097-point curve is drawn at pixel resolution: at most four points
+        # in each of the 547 pixel columns, picked from the CSV's own values.
+        series = [
+            (f"N={n}", [float(r[2]) for r in rows if r[0] == str(n)],
+             [float(r[3]) for r in rows if r[0] == str(n)])
+            for n in range(2, 11)
+        ]
+        expected = ET.fromstring(line_plot(series)).findall(f".//{SVG_NS}polyline")
+        for line, from_csv in zip(lines, expected, strict=True):
+            assert len(line.attrib["points"].split()) <= 4 * 547 < per_n
+            assert line.attrib["points"] == from_csv.attrib["points"]
 
 
 class TestConfigPrecedence:

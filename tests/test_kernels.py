@@ -93,3 +93,16 @@ def test_memory_is_output_plus_one_block():
     # a block's temporaries: a handful of (BLOCK, M'+1) float64 arrays
     allowance = 16 * BLOCK * columns * 8
     assert peak < probs.nbytes + entropies.nbytes + allowance
+
+
+@pytest.mark.parametrize("length", [BLOCK + 1, 2 * BLOCK + 1])
+@pytest.mark.parametrize("n_total, m_excited", [(80, 40), (200, 100)])
+def test_no_short_trailing_block(n_total, m_excited, length):
+    # With M'+1 >= 32 a block of a few rows can take a BLAS kernel that rounds
+    # unlike the one a full block takes; equal blocks keep every block long.
+    inputs = kernel_inputs(ModelSpec(n_total, m_excited))
+    taus = np.random.default_rng(3).uniform(-20.0, 20.0, 3 * BLOCK)
+    full_probs, full_entropies = backend.schmidt_entropy_grid(*inputs, taus)
+    probs, entropies = backend.schmidt_entropy_grid(*inputs, taus[:length])
+    assert np.array_equal(probs, full_probs[:length])
+    assert np.array_equal(entropies, full_entropies[:length])
