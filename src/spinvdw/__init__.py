@@ -3,7 +3,7 @@ XY (spin van der Waals / Lipkin-Meshkov-Glick) systems.
 
 Two independent pipelines compute the same observables: a closed-form one
 (exact rational mixing coefficients, integer oscillation frequencies) and a
-brute-force one (dense sector Hamiltonians diagonalized exactly).  The
+brute-force one (dense sector Hamiltonians, propagated exactly).  The
 :mod:`spinvdw.oracle` module compares them; the CLI exposes both.
 """
 

@@ -239,7 +239,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     else:
         results = dict(map(check, pairs))
 
-    lines = ["closed-form verification against dense diagonalization"]
+    lines = ["closed-form verification against the dense sector Hamiltonian"]
     all_passed = True
     for pair in pairs:
         report = results[pair]
@@ -336,7 +336,7 @@ _COMMANDS = {
         ("--n-max", int, FIG3_N_MAX, None),
         ("--out", Path, None, "output CSV path"),
     )),
-    "verify": (cmd_verify, "cross-check closed forms against dense diagonalization", (
+    "verify": (cmd_verify, "cross-check closed forms against the dense sector Hamiltonian", (
         ("--n-max", int, 8, None),
         ("--m", int, None, "restrict to one excitation count (default: all M <= N/2)"),
         ("--out", Path, None, "optional report file"),

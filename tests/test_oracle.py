@@ -5,10 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from spinvdw import oracle
+from spinvdw import evolution, oracle
 from spinvdw.model import ModelSpec
 from spinvdw.oracle import (
     BudgetExceededError,
+    SectorHamiltonian,
     SectorState,
     build_sector_hamiltonian,
     full_space_crosscheck,
@@ -104,6 +105,69 @@ class TestPropagate:
         reference = vectors @ (np.exp(-1j * eigenvalues * tau) * (vectors.T @ psi.amplitudes))
         assert np.max(np.abs(evolved - reference)) < 1e-12
         assert abs(np.linalg.norm(evolved) - 1.0) < 1e-12
+
+
+def _spectral_reference(h: SectorHamiltonian, amplitudes: np.ndarray, tau: float) -> np.ndarray:
+    eigenvalues, vectors = h.eigensystem()
+    return vectors @ (np.exp(-1j * eigenvalues * tau) * (vectors.T @ amplitudes))
+
+
+class TestKrylovPropagate:
+    def test_generic_matrix_runs_to_full_dimension(self):
+        # no invariant subspace to find: the loop must span the whole sector
+        basis = sector_basis(7, 3)
+        rng = np.random.default_rng(73)
+        raw = rng.normal(size=(len(basis.states), len(basis.states)))
+        h = SectorHamiltonian(basis, raw + raw.T)
+        assert np.min(np.diff(h.eigensystem()[0])) > 1e-6
+        psi = _random_sector_state(7, 3, seed=5)
+        vectors, theta, rotation = oracle._krylov_spectrum(h.matrix, psi.amplitudes)
+        assert vectors.shape == (35, 35) and theta.shape == (35,)
+        for tau in (0.0, 0.37, 2.9, 11.5):
+            evolved = propagate(h, psi, tau).amplitudes
+            assert np.max(np.abs(evolved - _spectral_reference(h, psi.amplitudes, tau))) < 1e-12
+            assert abs(np.linalg.norm(evolved) - 1.0) < 1e-12
+
+    def test_cache_follows_the_start_state(self):
+        h = build_sector_hamiltonian(8, 3)
+        first = _random_sector_state(8, 3, seed=1)
+        second = _random_sector_state(8, 3, seed=2)
+        for psi, tau in ((first, 0.8), (second, 0.8), (second, 0.1), (first, 1.9)):
+            evolved = propagate(h, psi, tau).amplitudes
+            assert np.max(np.abs(evolved - _spectral_reference(h, psi.amplitudes, tau))) < 1e-12
+        # the cached state, changed in place: same object, same norm
+        first.amplitudes[:] = np.roll(first.amplitudes, 7)
+        evolved = propagate(h, first, 1.9).amplitudes
+        assert np.max(np.abs(evolved - _spectral_reference(h, first.amplitudes, 1.9))) < 1e-12
+
+    @pytest.mark.parametrize("n,m,dimension", [(13, 6, 7), (14, 7, 8), (9, 0, 1)])
+    def test_product_state_subspace_dimension(self, n, m, dimension):
+        # the hop matrix has min(m, n - m) + 1 distinct eigenvalues in the
+        # sector, so the product state's cyclic subspace closes that early
+        h = build_sector_hamiltonian(n, m)
+        vectors, theta, rotation = oracle._krylov_spectrum(
+            h.matrix, initial_sector_state(n, m).amplitudes
+        )
+        assert vectors.shape[0] == theta.size == dimension
+
+    @pytest.mark.parametrize("tau", [math.nan, math.inf, -math.inf])
+    def test_non_finite_tau_rejected(self, tau):
+        with pytest.raises(ValueError, match="tau"):
+            propagate(build_sector_hamiltonian(4, 2), initial_sector_state(4, 2), tau)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, math.nan)])
+    def test_non_finite_start_rejected(self, bad):
+        psi = initial_sector_state(5, 2)
+        psi.amplitudes[3] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            propagate(build_sector_hamiltonian(5, 2), psi, 0.5)
+
+    def test_zero_start_stays_zero(self):
+        basis = sector_basis(5, 2)
+        zero = SectorState(basis, np.zeros(len(basis.states), dtype=complex))
+        evolved = propagate(build_sector_hamiltonian(5, 2), zero, 1.3).amplitudes
+        assert evolved.shape == (len(basis.states),)
+        assert not evolved.any()
 
 
 class TestReducedDensity:
@@ -299,6 +363,32 @@ class TestVerifyClosedForm:
                     if x > 1e-300:
                         analytic -= x * math.log2(x)
                 assert abs(oracle - analytic) < 1e-9
+
+    def test_shifted_phase_is_caught(self, monkeypatch):
+        true_spectrum = evolution.phase_spectrum
+
+        def shifted(spec):
+            spectrum = true_spectrum(spec)
+            phases = spectrum.phases.copy()
+            phases[-1] += 1
+            return evolution.PhaseSpectrum(spec, phases)
+
+        monkeypatch.setattr(evolution, "phase_spectrum", shifted)
+        rng = np.random.default_rng(8)
+        assert not verify_closed_form(ModelSpec(8, 3), rng.uniform(0, 4 * math.pi, 16)).passed
+
+    def test_extra_hop_is_caught(self, monkeypatch):
+        true_build = oracle.build_sector_hamiltonian
+
+        def with_extra_hop(n_total, excitations):
+            h = true_build(n_total, excitations)
+            assert h.matrix[0, -1] == 0.0  # 0b00000111 and 0b11100000 are not neighbours
+            h.matrix[0, -1] = h.matrix[-1, 0] = 1.0
+            return h
+
+        monkeypatch.setattr(oracle, "build_sector_hamiltonian", with_extra_hop)
+        rng = np.random.default_rng(8)
+        assert not verify_closed_form(ModelSpec(8, 3), rng.uniform(0, 4 * math.pi, 16)).passed
 
 
 class TestFullSpaceCrosscheck:
