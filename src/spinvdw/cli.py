@@ -10,9 +10,7 @@ from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +25,6 @@ from .oracle import (
 from .svgplot import line_plot
 
 VERIFY_SAMPLES = 64
-WORKER_ENV_VAR = "SPINVDW_WORKERS"
 
 FIG1_N_RANGE = range(2, 9)
 FIG2_N_RANGE = range(2, 11)
@@ -197,17 +194,6 @@ def cmd_maxima(args: argparse.Namespace) -> int:
     return 0
 
 
-def _worker_count() -> int:
-    raw = os.environ.get(WORKER_ENV_VAR, "1")
-    try:
-        workers = int(raw)
-    except ValueError:
-        workers = 0
-    if workers < 1:
-        raise UsageError(f"{WORKER_ENV_VAR} must be a positive integer, got {raw!r}")
-    return workers
-
-
 def cmd_verify(args: argparse.Namespace) -> int:
     n_max = args.n_max
     _check_n_range(2, n_max)
@@ -226,33 +212,21 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if not pairs:
         raise UsageError(f"no (N, M) sectors to verify for m={args.m}, n-max={n_max}")
 
-    def check(pair):
-        n, m = pair
-        rng = np.random.default_rng(1_000 * n + m)
-        taus = rng.uniform(0.0, 4.0 * math.pi, VERIFY_SAMPLES)
-        return pair, verify_closed_form(ModelSpec(n, m), taus)
-
-    workers = _worker_count()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = dict(pool.map(check, pairs))
-    else:
-        results = dict(map(check, pairs))
-
     lines = ["closed-form verification against the dense sector Hamiltonian"]
     all_passed = True
-    for pair in pairs:
-        report = results[pair]
+    for n, m in pairs:
+        taus = np.random.default_rng(1_000 * n + m).uniform(0.0, 4.0 * math.pi, VERIFY_SAMPLES)
+        report = verify_closed_form(ModelSpec(n, m), taus)
         status = "PASS" if report.passed else "FAIL"
         all_passed &= report.passed
         lines.append(
-            f"N={pair[0]:2d} M={pair[1]:2d} samples={report.sample_count} "
+            f"N={n:2d} M={m:2d} samples={report.sample_count} "
             f"max|dP|={report.max_spectrum_deviation:.3e} "
             f"max|dE|={report.max_entropy_deviation:.3e} {status}"
         )
     lines.append(
         f"{'all sectors PASS' if all_passed else 'FAILURES detected'} "
-        f"(tolerance {results[pairs[0]].tolerance:g})"
+        f"(tolerance {report.tolerance:g})"
     )
     text = "\n".join(lines) + "\n"
     sys.stdout.write(text)

@@ -88,10 +88,10 @@ def entropy(spectrum) -> float:
     """Base-2 Shannon entropy of a Schmidt spectrum, in ebits.
 
     Accepts a :class:`SchmidtSpectrum` or a bare probability sequence;
-    0 * log 0 is taken as 0.  A NaN probability gives NaN.
+    0 * log 0 is taken as 0.  A NaN or infinite probability gives NaN.
     """
     probs = np.asarray(getattr(spectrum, "probabilities", spectrum), dtype=float)
-    if np.isnan(probs).any():
+    if not np.isfinite(probs).all():
         return math.nan
     probs = probs[probs > ZERO_CUTOFF]
     if probs.size == 0:
@@ -150,9 +150,13 @@ def entropy_rate_m1(spec: ModelSpec, tau: float) -> float:
 
     Evaluates ``2 (N-1)/N sin(N tau) log2[N^2/(4(N-1)) csc^2(N tau / 2) - 1]``.
     Raises :class:`SingularTimeError` at multiples of 2 pi / N, where the
-    entropy has a cusp and the cosecant diverges.
+    entropy has a cusp and the cosecant diverges, and ValueError for a
+    non-finite tau.
     """
     _require_single_excitation(spec, "the closed-form entropy rate")
+    tau = float(tau)
+    if not math.isfinite(tau):
+        raise ValueError(f"tau must be finite, got {tau!r}")
     n = spec.n_total
     cycles = tau * n / (2.0 * math.pi)
     if abs(cycles - round(cycles)) < 1e-9:

@@ -6,7 +6,8 @@ Propagation runs Lanczos from the start state on the dense sector matrix
 until the residual vanishes, so the cyclic subspace it spans is invariant
 and exp(-i H tau) acts on it exactly through one small tridiagonal
 eigendecomposition.  The subspace is found from the matrix and the start
-vector alone: nothing sizes it from the model.
+vector alone: nothing sizes it from the model.  One call does one Lanczos
+pass and evolves to every time of a 1-d tau array at once.
 
 Everything here is rebuilt from the Hamiltonian itself, independently of
 the closed-form modules, so that :func:`verify_closed_form` can compare the
@@ -45,30 +46,26 @@ class SectorBasis:
 
     n_total: int
     excitation_count: int
-    # both follow from (n_total, excitation_count), so equality skips them
+    # follows from (n_total, excitation_count), so equality skips it
     states: tuple[int, ...] = field(compare=False)
-    index: dict[int, int] = field(compare=False)
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class SectorHamiltonian:
     """Hop matrix on a sector basis, in units of the coupling."""
 
     basis: SectorBasis
     matrix: np.ndarray
-    _eigensystem: tuple | None = field(default=None, repr=False)
-    # (start amplitude bytes, Q, Theta, S) of the last start state propagated
-    _krylov: tuple | None = field(default=None, repr=False)
 
     def eigensystem(self) -> tuple[np.ndarray, np.ndarray]:
-        """Cached (eigenvalues, eigenvectors) of the real symmetric matrix."""
-        if self._eigensystem is None:
-            self._eigensystem = np.linalg.eigh(self.matrix)
-        return self._eigensystem
+        """(eigenvalues, eigenvectors) of the real symmetric matrix."""
+        return np.linalg.eigh(self.matrix)
 
 
 @dataclass(frozen=True, eq=False)
 class SectorState:
+    """Amplitudes over the basis patterns: shape (d,), or (T, d) for T times."""
+
     basis: SectorBasis
     amplitudes: np.ndarray
 
@@ -91,12 +88,7 @@ def sector_basis(n_total: int, excitation_count: int) -> SectorBasis:
         sum(1 << site for site in sites)
         for sites in itertools.combinations(range(n_total), excitation_count)
     )
-    return SectorBasis(
-        n_total,
-        excitation_count,
-        tuple(patterns),
-        {pattern: i for i, pattern in enumerate(patterns)},
-    )
+    return SectorBasis(n_total, excitation_count, tuple(patterns))
 
 
 def build_sector_hamiltonian(n_total: int, excitations: int) -> SectorHamiltonian:
@@ -111,14 +103,15 @@ def build_sector_hamiltonian(n_total: int, excitations: int) -> SectorHamiltonia
             f"n_total = {n_total} exceeds the dense sector budget of {SECTOR_SITE_BUDGET}"
         )
     basis = sector_basis(n_total, excitations)
-    dim = len(basis.states)
-    matrix = np.zeros((dim, dim))
-    for row, pattern in enumerate(basis.states):
-        occupied = [s for s in range(n_total) if pattern >> s & 1]
-        empty = [s for s in range(n_total) if not pattern >> s & 1]
-        for i in occupied:
-            for j in empty:
-                matrix[row, basis.index[pattern ^ (1 << i) ^ (1 << j)]] = 1.0
+    patterns = np.array(basis.states, dtype=np.int64)
+    # the N(N-1) ordered site pairs (i, j): an excitation hops from i to j
+    pairs = np.array(list(itertools.permutations(range(n_total), 2)), dtype=np.int64)
+    i, j = pairs.reshape(-1, 2).T
+    occupied = (patterns[:, None] >> np.arange(n_total) & 1).astype(bool)
+    row, pair = np.nonzero(occupied[:, i] & ~occupied[:, j])
+    hopped = patterns[row] ^ (1 << i[pair]) ^ (1 << j[pair])
+    matrix = np.zeros((patterns.size, patterns.size))
+    matrix[row, np.searchsorted(patterns, hopped)] = 1.0
     return SectorHamiltonian(basis, matrix)
 
 
@@ -126,7 +119,7 @@ def initial_sector_state(n_total: int, m_excited: int) -> SectorState:
     """Product state with the first ``m_excited`` sites excited."""
     basis = sector_basis(n_total, m_excited)
     amplitudes = np.zeros(len(basis.states), dtype=complex)
-    amplitudes[basis.index[(1 << m_excited) - 1]] = 1.0
+    amplitudes[0] = 1.0  # (1 << m_excited) - 1 is the smallest pattern
     return SectorState(basis, amplitudes)
 
 
@@ -174,33 +167,30 @@ def _krylov_spectrum(matrix: np.ndarray, start: np.ndarray) -> tuple:
     return subspace, theta, rotation
 
 
-def propagate(h: SectorHamiltonian, initial: SectorState, tau: float) -> SectorState:
+def propagate(h: SectorHamiltonian, initial: SectorState, tau) -> SectorState:
     """exp(-i H tau) applied in the Krylov subspace of the start state.
 
-    psi(tau) = |psi0| Q S (exp(-i Theta tau) * S[0, :]) with (Q, Theta, S)
-    from :func:`_krylov_spectrum`.  They are cached on ``h`` for one start
-    state, keyed by its amplitude bytes, so a run of sample times costs one
-    Lanczos pass and then O(d k) per time for a k-vector subspace.  A zero
-    start state evolves to the zero state.  Raises ValueError for a
-    non-finite tau or a start state with a non-finite amplitude.
+    ``tau`` is a scalar or a 1-d array of times; the amplitudes have shape
+    ``tau.shape + (d,)``.  psi(tau) = |psi0| (exp(-i tau Theta) * S[0, :]) S^T Q
+    with (Q, Theta, S) from one :func:`_krylov_spectrum` pass per call, so
+    every time after that costs O(d k) for a k-vector subspace.  A zero start
+    state evolves to the zero state.  Raises ValueError for a non-finite tau
+    or a start state with a non-finite amplitude.
     """
     if h.basis != initial.basis:
         raise ValueError("state and Hamiltonian use different bases")
-    tau = float(tau)
-    if not math.isfinite(tau):
+    taus = np.asarray(tau, dtype=float)
+    if not np.isfinite(taus).all():
         raise ValueError(f"tau must be finite, got {tau!r}")
     amplitudes = np.asarray(initial.amplitudes, dtype=complex)
     if not np.isfinite(amplitudes).all():
         raise ValueError("start state has a non-finite amplitude")
     norm = float(np.linalg.norm(amplitudes))
     if norm == 0.0:
-        return SectorState(h.basis, np.zeros_like(amplitudes))
-    key = amplitudes.tobytes()
-    if h._krylov is None or h._krylov[0] != key:
-        h._krylov = (key, *_krylov_spectrum(h.matrix, amplitudes / norm))
-    _, vectors, theta, rotation = h._krylov
-    phased = np.exp(-1j * theta * tau) * rotation[0]
-    return SectorState(h.basis, (norm * (rotation @ phased)) @ vectors)
+        return SectorState(h.basis, np.zeros(taus.shape + amplitudes.shape, dtype=complex))
+    vectors, theta, rotation = _krylov_spectrum(h.matrix, amplitudes / norm)
+    phased = np.exp(-1j * np.multiply.outer(taus, theta)) * rotation[0]
+    return SectorState(h.basis, (norm * (phased @ rotation.T)) @ vectors)
 
 
 def _partial_density(state: SectorState, boundary: int, keep_first: bool) -> np.ndarray:
@@ -244,6 +234,10 @@ def schmidt_eigenvalues(state: SectorState, partition_size: int) -> np.ndarray:
     the smaller subsystem is free accuracy and memory.
     """
     n_total = state.basis.n_total
+    if not 0 <= partition_size <= n_total:
+        raise ValueError(
+            f"partition size must lie in 0..{n_total}, got {partition_size}"
+        )
     if partition_size in (0, n_total):
         return np.array([1.0])
     keep_first = partition_size <= n_total - partition_size
@@ -255,13 +249,14 @@ def von_neumann_entropy(rho) -> float:
     """Base-2 entropy of a reduced density matrix or eigenvalue list, in ebits.
 
     Rounding noise in [-1e-9, 0] is clipped to zero; anything more negative
-    is rejected as a broken density matrix.  A NaN eigenvalue gives NaN.
+    is rejected as a broken density matrix.  A NaN or infinite eigenvalue
+    gives NaN.
     """
     if isinstance(rho, ReducedDensity):
         eigenvalues = rho.eigenvalues
     else:
         eigenvalues = np.asarray(rho, dtype=float)
-    if np.isnan(eigenvalues).any():
+    if not np.isfinite(eigenvalues).all():
         return math.nan
     if eigenvalues.size and float(eigenvalues.min()) < -1e-9:
         raise ValueError(
@@ -296,7 +291,8 @@ def verify_closed_form(spec: ModelSpec, tau_samples) -> VerificationReport:
     """Compare closed-form Schmidt spectra and entropies against the dense
     pipeline at each sample time.
 
-    The closed-form spectrum is zero-padded to the reduced-density dimension
+    The oracle evolves to every sample in one :func:`propagate` call.  The
+    closed-form spectrum is zero-padded to the reduced-density dimension
     and both are compared in descending order.  Raises ValueError unless the
     samples are finite and non-empty; a NaN deviation fails the report.
     """
@@ -311,14 +307,14 @@ def verify_closed_form(spec: ModelSpec, tau_samples) -> VerificationReport:
     psi0 = initial_sector_state(spec.n_total, spec.m_excited)
     table = b_table(spec)
     padded = max(2**spec.m_prime, spec.m_prime + 1)
+    evolved = propagate(h, psi0, taus).amplitudes
     spectrum_deviations = []
     entropy_deviations = []
-    for tau in taus:
+    for tau, amplitudes in zip(taus, evolved):
         spectrum = schmidt_spectrum(amplitudes_at(spec, table, float(tau)))
         closed = np.zeros(padded)
         closed[: spectrum.probabilities.size] = np.sort(spectrum.probabilities)[::-1]
-        evolved = propagate(h, psi0, float(tau))
-        oracle_eig = schmidt_eigenvalues(evolved, spec.m_excited)
+        oracle_eig = schmidt_eigenvalues(SectorState(h.basis, amplitudes), spec.m_excited)
         dense = np.zeros(padded)
         dense[: oracle_eig.size] = oracle_eig
         spectrum_deviations.append(np.max(np.abs(closed - dense)))
@@ -376,6 +372,5 @@ def full_space_crosscheck(n_total: int, m_excited: int, tau: float) -> float:
         float(tau),
     )
     embedded = np.zeros(full.size, dtype=complex)
-    for pattern, amplitude in zip(sector.basis.states, sector.amplitudes):
-        embedded[pattern] = amplitude
+    embedded[list(sector.basis.states)] = sector.amplitudes
     return float(np.max(np.abs(full - embedded)))

@@ -228,26 +228,6 @@ class TestVerify:
         captured = capsys.readouterr().out
         assert "N=10 M= 5" in captured
 
-    def test_parallel_workers(self, monkeypatch, capsys):
-        monkeypatch.setenv("SPINVDW_WORKERS", "3")
-        assert main(["verify", "--n-max", "4"]) == 0
-        assert "all sectors PASS" in capsys.readouterr().out
-
-    def test_parallel_matches_serial(self, monkeypatch, capsys):
-        # each worker builds and caches its own sector objects
-        monkeypatch.delenv("SPINVDW_WORKERS", raising=False)
-        assert main(["verify", "--n-max", "8"]) == 0
-        serial = capsys.readouterr().out
-        monkeypatch.setenv("SPINVDW_WORKERS", "3")
-        assert main(["verify", "--n-max", "8"]) == 0
-        assert capsys.readouterr().out == serial
-
-    @pytest.mark.parametrize("workers", ["abc", "0", "-1", "1.5", ""])
-    def test_bad_worker_count_is_usage_error(self, monkeypatch, capsys, workers):
-        monkeypatch.setenv("SPINVDW_WORKERS", workers)
-        assert main(["verify", "--n-max", "3"]) == 2
-        assert "SPINVDW_WORKERS" in capsys.readouterr().err
-
 
 @pytest.fixture(scope="module")
 def fig_dir(tmp_path_factory):

@@ -85,7 +85,10 @@ class TestEntropy:
         spectrum = spectrum_at(2, 1, math.pi / 4)
         assert abs(entropy(spectrum) - 1.0) < 1e-12
 
-    @pytest.mark.parametrize("probs", [(math.nan, 0.0), (0.5, math.nan, 0.5), (math.nan,)])
+    @pytest.mark.parametrize(
+        "probs",
+        [(math.nan, 0.0), (0.5, math.nan, 0.5), (math.nan,), (math.inf, 0.0), (-math.inf, 1.0)],
+    )
     def test_nan_probability_gives_nan(self, probs):
         assert math.isnan(entropy(probs))
 
@@ -187,6 +190,11 @@ class TestEntropyRate:
     def test_multi_excitation_rejected(self):
         with pytest.raises(ValueError):
             entropy_rate_m1(ModelSpec(4, 2), 0.3)
+
+    @pytest.mark.parametrize("tau", [math.nan, math.inf, -math.inf])
+    def test_non_finite_tau_rejected(self, tau):
+        with pytest.raises(ValueError, match="tau must be finite"):
+            entropy_rate_m1(ModelSpec(5, 1), tau)
 
     def test_matches_finite_difference(self):
         step = 1e-6

@@ -13,6 +13,7 @@ from spinvdw.oracle import (
     SectorState,
     build_sector_hamiltonian,
     full_space_crosscheck,
+    full_space_hamiltonian,
     full_space_propagate,
     initial_sector_state,
     propagate,
@@ -28,7 +29,6 @@ class TestSectorBasis:
     def test_dimension_and_order(self):
         basis = sector_basis(4, 2)
         assert basis.states == (0b0011, 0b0101, 0b0110, 0b1001, 0b1010, 0b1100)
-        assert basis.index[0b0101] == 1
 
     def test_vacuum(self):
         assert sector_basis(3, 0).states == (0,)
@@ -58,6 +58,15 @@ class TestSectorHamiltonian:
     def test_budget(self):
         with pytest.raises(BudgetExceededError):
             build_sector_hamiltonian(15, 1)
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_matches_full_space_restriction(self, n):
+        # the Pauli-product Hamiltonian is built independently of the sector code
+        full = full_space_hamiltonian(n)
+        for m in range(n + 1):
+            patterns = list(sector_basis(n, m).states)
+            restricted = full[np.ix_(patterns, patterns)]
+            assert np.array_equal(build_sector_hamiltonian(n, m).matrix, restricted)
 
 
 class TestPropagate:
@@ -169,6 +178,27 @@ class TestKrylovPropagate:
         assert evolved.shape == (len(basis.states),)
         assert not evolved.any()
 
+    def test_tau_array_gives_one_row_per_time(self):
+        h = build_sector_hamiltonian(9, 4)
+        psi = _random_sector_state(9, 4, seed=31)
+        taus = np.array([0.0, 0.37, 2.9, 11.5, -4.2])
+        evolved = propagate(h, psi, taus).amplitudes
+        assert evolved.shape == (taus.size, len(psi.basis.states))
+        for tau, row in zip(taus, evolved):
+            assert np.max(np.abs(row - _spectral_reference(h, psi.amplitudes, tau))) < 1e-12
+
+    def test_zero_start_with_tau_array_stays_zero(self):
+        basis = sector_basis(5, 2)
+        zero = SectorState(basis, np.zeros(len(basis.states), dtype=complex))
+        evolved = propagate(build_sector_hamiltonian(5, 2), zero, np.linspace(0.0, 2.0, 7))
+        assert evolved.amplitudes.shape == (7, len(basis.states))
+        assert not evolved.amplitudes.any()
+
+    def test_tau_array_with_nan_rejected(self):
+        taus = np.array([0.1, 0.5, math.nan, 2.0])
+        with pytest.raises(ValueError, match="tau"):
+            propagate(build_sector_hamiltonian(4, 2), initial_sector_state(4, 2), taus)
+
 
 class TestReducedDensity:
     def test_bell_like_state(self):
@@ -218,6 +248,15 @@ class TestReducedDensity:
             reduced_density(state, 0)
         with pytest.raises(ValueError):
             reduced_density(state, 4)
+
+    @pytest.mark.parametrize("size", [-1, 7, 9])
+    def test_schmidt_partition_out_of_range(self, size):
+        with pytest.raises(ValueError, match=r"0\.\.6"):
+            schmidt_eigenvalues(initial_sector_state(6, 3), size)
+
+    @pytest.mark.parametrize("size", [0, 6])
+    def test_schmidt_trivial_partition(self, size):
+        assert np.array_equal(schmidt_eigenvalues(initial_sector_state(6, 3), size), [1.0])
 
     def test_partition_relabeling_invariance(self):
         # permuting the sites of the state and cutting along the permuted
@@ -293,7 +332,8 @@ class TestVonNeumannEntropy:
             von_neumann_entropy(np.array([1.1, -0.1]))
 
     @pytest.mark.parametrize(
-        "eigenvalues", [[math.nan, 0.0], [0.5, math.nan, 0.5], [math.nan]]
+        "eigenvalues",
+        [[math.nan, 0.0], [0.5, math.nan, 0.5], [math.nan], [math.inf, 0.0], [-math.inf, 1.0]],
     )
     def test_nan_eigenvalue_gives_nan(self, eigenvalues):
         assert math.isnan(von_neumann_entropy(np.array(eigenvalues)))
