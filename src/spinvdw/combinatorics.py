@@ -78,11 +78,13 @@ def _b_sum(n_tot: int, m_exc: int, m: int, n: int, choose) -> Fraction:
 def b_table(spec: ModelSpec) -> BCoefficientTable:
     """Full (M'+1) x (M'+1) table of mixing coefficients.
 
-    Binomials are memoized in a Pascal triangle up to N+1, which also makes
-    the table an independent evaluation path from :func:`b_coefficient`
-    (the latter goes through ``math.comb``).
+    Binomials are memoized in a Pascal triangle up to row N+1, cut after
+    column M: the sums never read C(x, y) with y > M, so the triangle costs
+    O(N M) big-int additions instead of O(N^2).  It also makes the table an
+    independent evaluation path from :func:`b_coefficient` (the latter goes
+    through ``math.comb``).
     """
-    rows = _pascal_rows(spec.n_total + 1)
+    rows = _pascal_rows(spec.n_total + 1, spec.m_excited)
 
     def choose(x: int, y: int) -> int:
         return rows[x][y] if 0 <= y <= x else 0
@@ -98,9 +100,13 @@ def b_table(spec: ModelSpec) -> BCoefficientTable:
     return BCoefficientTable(spec, entries)
 
 
-def _pascal_rows(x_max: int) -> list[list[int]]:
+def _pascal_rows(x_max: int, y_max: int) -> list[list[int]]:
+    """Rows 0..x_max of Pascal's triangle, each cut after column y_max."""
     rows = [[1]]
-    for _ in range(x_max):
+    for x in range(1, x_max + 1):
         prev = rows[-1]
-        rows.append([1] + [prev[i] + prev[i + 1] for i in range(len(prev) - 1)] + [1])
+        row = [1] + [prev[i] + prev[i + 1] for i in range(len(prev) - 1)]
+        if x <= y_max:
+            row.append(1)
+        rows.append(row)
     return rows

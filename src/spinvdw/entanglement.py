@@ -25,7 +25,10 @@ NORMALIZATION_TOLERANCE = 1e-9
 # Specs whose kernel data stay cached; a maxima scan reuses one spec at a time.
 KERNEL_CACHE_SIZE = 256
 
-_INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+# Points of each zoom grid in the maxima refinement, and the bracket width
+# at which the zooming stops.
+ZOOM_POINTS = 65
+ZOOM_TOLERANCE = 1e-10
 
 
 class NormalizationError(ValueError):
@@ -213,11 +216,14 @@ def magic_number_scan(n_max: int, *, grid_points: int = 2048) -> list[ScanRow]:
     """Maximum entanglement per system size N = 2..n_max for M = 1.
 
     The analytic maximum (best of the tau'/tau'' candidates) is cross-checked
-    against a dense grid over one period refined by golden-section search;
-    a disagreement beyond 1e-8 ebits raises ArithmeticError.
+    against a dense grid of ``grid_points`` intervals over one period,
+    refined by zoom grids; a disagreement beyond 1e-8 ebits raises
+    ArithmeticError.
     """
     if n_max < 2:
         raise ValueError(f"n_max must be >= 2, got {n_max}")
+    if grid_points < 1:
+        raise ValueError(f"grid_points must be >= 1, got {grid_points}")
     rows = []
     for n in range(2, n_max + 1):
         spec = ModelSpec(n, 1)
@@ -238,34 +244,23 @@ def magic_number_scan(n_max: int, *, grid_points: int = 2048) -> list[ScanRow]:
     return rows
 
 
-def _entropy_at(spec: ModelSpec, tau: float) -> float:
-    return float(entropy_grid(spec, np.array([tau]))[1][0])
-
-
 def _refined_grid_max(spec: ModelSpec, grid_points: int) -> tuple[float, float]:
-    """Dense-grid maximum over one period, sharpened by golden-section search."""
+    """Dense-grid maximum over one period, sharpened by zoom grids.
+
+    Each step brackets the grid argmax by its two neighbours and evaluates
+    ``ZOOM_POINTS`` points across the bracket in one kernel call, until the
+    bracket is no wider than ``ZOOM_TOLERANCE``.  Returns the entropy at the
+    final bracket midpoint, and that midpoint.
+    """
     period = 2.0 * math.pi / spec.n_total
     taus = np.linspace(0.0, period, grid_points + 1)
-    _, entropies = entropy_grid(spec, taus)
-    peak = int(np.argmax(entropies))
-    lo = taus[max(peak - 1, 0)]
-    hi = taus[min(peak + 1, taus.size - 1)]
-    return _golden_max(lambda t: _entropy_at(spec, t), lo, hi)
-
-
-def _golden_max(f, lo: float, hi: float, tol: float = 1e-10) -> tuple[float, float]:
-    a, b = float(lo), float(hi)
-    c = b - _INV_GOLDEN * (b - a)
-    d = a + _INV_GOLDEN * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > tol:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - _INV_GOLDEN * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INV_GOLDEN * (b - a)
-            fd = f(d)
-    x = 0.5 * (a + b)
-    return f(x), x
+    while True:
+        _, entropies = entropy_grid(spec, taus)
+        peak = int(np.argmax(entropies))
+        lo = taus[max(peak - 1, 0)]
+        hi = taus[min(peak + 1, taus.size - 1)]
+        if hi - lo <= ZOOM_TOLERANCE:
+            break
+        taus = np.linspace(lo, hi, ZOOM_POINTS)
+    x = float(0.5 * (lo + hi))
+    return float(entropy_grid(spec, np.array([x]))[1][0]), x

@@ -291,13 +291,16 @@ def verify_closed_form(spec: ModelSpec, tau_samples) -> VerificationReport:
     """Compare closed-form Schmidt spectra and entropies against the dense
     pipeline at each sample time.
 
-    The oracle evolves to every sample in one :func:`propagate` call.  The
-    closed-form spectrum is zero-padded to the reduced-density dimension
-    and both are compared in descending order.  Raises ValueError unless the
-    samples are finite and non-empty; a NaN deviation fails the report.
+    Both closed-form paths are checked: the reference path
+    (:func:`amplitudes_at`, one time at a time) and the kernel path
+    (:func:`entropy_grid`, all samples in one call).  The oracle evolves to
+    every sample in one :func:`propagate` call.  Each closed-form spectrum is
+    zero-padded to the reduced-density dimension and compared with the
+    oracle's in descending order.  Raises ValueError unless the samples are
+    finite and non-empty; a NaN deviation fails the report.
     """
     from .combinatorics import b_table
-    from .entanglement import entropy, schmidt_spectrum
+    from .entanglement import entropy, entropy_grid, schmidt_spectrum
     from .evolution import amplitudes_at
 
     taus = np.atleast_1d(np.asarray(tau_samples, dtype=float))
@@ -308,17 +311,28 @@ def verify_closed_form(spec: ModelSpec, tau_samples) -> VerificationReport:
     table = b_table(spec)
     padded = max(2**spec.m_prime, spec.m_prime + 1)
     evolved = propagate(h, psi0, taus).amplitudes
+    kernel_probs, kernel_entropies = entropy_grid(spec, taus)
+    reference_probs = np.empty_like(kernel_probs)
+    reference_entropies = np.empty_like(kernel_entropies)
+    dense = np.zeros((taus.size, padded))
+    dense_entropies = np.empty(taus.size)
+    for i, (tau, amplitudes) in enumerate(zip(taus, evolved)):
+        spectrum = schmidt_spectrum(amplitudes_at(spec, table, float(tau)))
+        reference_probs[i] = spectrum.probabilities
+        reference_entropies[i] = entropy(spectrum)
+        oracle_eig = schmidt_eigenvalues(SectorState(h.basis, amplitudes), spec.m_excited)
+        dense[i, : oracle_eig.size] = oracle_eig
+        dense_entropies[i] = von_neumann_entropy(oracle_eig)
     spectrum_deviations = []
     entropy_deviations = []
-    for tau, amplitudes in zip(taus, evolved):
-        spectrum = schmidt_spectrum(amplitudes_at(spec, table, float(tau)))
-        closed = np.zeros(padded)
-        closed[: spectrum.probabilities.size] = np.sort(spectrum.probabilities)[::-1]
-        oracle_eig = schmidt_eigenvalues(SectorState(h.basis, amplitudes), spec.m_excited)
-        dense = np.zeros(padded)
-        dense[: oracle_eig.size] = oracle_eig
+    for probs, entropies in (
+        (reference_probs, reference_entropies),
+        (kernel_probs, kernel_entropies),
+    ):
+        closed = np.zeros_like(dense)
+        closed[:, : probs.shape[1]] = np.sort(probs, axis=1)[:, ::-1]
         spectrum_deviations.append(np.max(np.abs(closed - dense)))
-        entropy_deviations.append(abs(entropy(spectrum) - von_neumann_entropy(oracle_eig)))
+        entropy_deviations.append(np.max(np.abs(entropies - dense_entropies)))
     # np.max propagates NaN, where the builtin max would drop it
     return VerificationReport(
         spec, taus.size, float(np.max(spectrum_deviations)), float(np.max(entropy_deviations))

@@ -101,6 +101,18 @@ class TestBTable:
                     for k in range(spec.m_prime + 1):
                         assert table.entries[m][k] == b_coefficient(spec, m, k)
 
+    @pytest.mark.parametrize(
+        "n,m_exc", [(40, 0), (40, 1), (40, 33), (40, 40), (41, 20), (41, 21), (60, 59)]
+    )
+    def test_matches_elementwise_evaluation_at_truncation_edges(self, n, m_exc):
+        # the table's Pascal triangle stops at column M: these specs put the
+        # largest column read on that edge
+        spec = ModelSpec(n, m_exc)
+        table = b_table(spec)
+        for m in range(spec.m_prime + 1):
+            for k in range(spec.m_prime + 1):
+                assert table.entries[m][k] == b_coefficient(spec, m, k)
+
     def test_rows_sum_to_initial_condition(self):
         # sum_n b[m][n] must collapse to delta_{m,0}: the tau=0 state is the
         # bare product state

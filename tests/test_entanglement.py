@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from spinvdw import entanglement
 from spinvdw.combinatorics import b_table
 from spinvdw.entanglement import (
     NormalizationError,
@@ -285,6 +286,31 @@ class TestMagicNumberScan:
         for row in magic_number_scan(12):
             assert abs(row.grid_max_entropy - row.max_entropy) < 1e-8
 
+    def test_zoom_refinement_reaches_analytic_maximum(self):
+        for row in magic_number_scan(200):
+            assert abs(row.grid_max_entropy - row.max_entropy) <= 1e-12
+
+    def test_kernel_calls_per_size(self, monkeypatch):
+        calls = {}
+        true_grid = entanglement.entropy_grid
+
+        def counted(spec, tau_grid):
+            probs, entropies = true_grid(spec, tau_grid)
+            calls.setdefault(spec.n_total, []).append(entropies.size)
+            return probs, entropies
+
+        monkeypatch.setattr(entanglement, "entropy_grid", counted)
+        magic_number_scan(30)
+        assert sorted(calls) == list(range(2, 31))
+        for sizes in calls.values():
+            assert len(sizes) <= 8
+            assert sizes.count(1) == 1
+
     def test_small_n_max_rejected(self):
         with pytest.raises(ValueError):
             magic_number_scan(1)
+
+    @pytest.mark.parametrize("grid_points", [0, -3])
+    def test_grid_points_below_one_rejected(self, grid_points):
+        with pytest.raises(ValueError, match=f"got {grid_points}"):
+            magic_number_scan(7, grid_points=grid_points)

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spinvdw.combinatorics import b_table, schmidt_multiplicities
 from spinvdw.evolution import amplitudes_at, phase_spectrum
@@ -80,6 +82,24 @@ class TestAmplitudesAt:
         spec = ModelSpec(4, 1)
         with pytest.raises(ValueError):
             amplitudes_at(spec, b_table(spec), tau)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        spec=st.integers(2, 12).flatmap(
+            lambda n: st.builds(ModelSpec, st.just(n), st.integers(0, n))
+        ),
+        tau=st.one_of(
+            st.floats(-1e3, 1e3), st.sampled_from([math.nan, math.inf, -math.inf])
+        ),
+    )
+    def test_property_finite_tau_normalized_else_rejected(self, spec, tau):
+        table = b_table(spec)
+        if not math.isfinite(tau):
+            with pytest.raises(ValueError):
+                amplitudes_at(spec, table, tau)
+            return
+        amps = amplitudes_at(spec, table, tau).amplitudes
+        assert abs(weighted_norm(spec, amps) - 1.0) <= 1e-12
 
     def test_single_excitation_periodicity(self):
         rng = np.random.default_rng(3)

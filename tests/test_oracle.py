@@ -4,8 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from spinvdw import evolution, oracle
+from spinvdw import entanglement, evolution, oracle
 from spinvdw.model import ModelSpec
 from spinvdw.oracle import (
     BudgetExceededError,
@@ -388,6 +390,37 @@ class TestVerifyClosedForm:
         assert math.isnan(report.max_spectrum_deviation)
         assert math.isnan(report.max_entropy_deviation)
         assert not report.passed
+
+    def test_kernel_path_is_checked(self, monkeypatch):
+        true_grid = entanglement.entropy_grid
+
+        def perturbed(spec, tau_grid):
+            probs, entropies = true_grid(spec, tau_grid)
+            probs = probs.copy()
+            probs[1, 0] += 1e-6
+            return probs, entropies
+
+        monkeypatch.setattr(entanglement, "entropy_grid", perturbed)
+        report = verify_closed_form(ModelSpec(5, 2), [0.0, 0.3, 0.7])
+        assert report.max_spectrum_deviation > 5e-7
+        assert not report.passed
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        spec=st.integers(2, 6).flatmap(
+            lambda n: st.builds(ModelSpec, st.just(n), st.integers(0, n))
+        ),
+        samples=st.lists(st.floats(-20.0, 20.0), min_size=1, max_size=4),
+        bad=st.sampled_from([None, math.nan, math.inf, -math.inf]),
+        bad_at=st.integers(0, 4),
+    )
+    def test_property_finite_samples_pass_else_rejected(self, spec, samples, bad, bad_at):
+        if bad is not None:
+            samples.insert(min(bad_at, len(samples)), bad)
+            with pytest.raises(ValueError):
+                verify_closed_form(spec, samples)
+            return
+        assert verify_closed_form(spec, samples).passed
 
     def test_single_excitation_matches_analytic_entropy(self):
         rng = np.random.default_rng(9)
