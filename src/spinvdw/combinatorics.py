@@ -1,10 +1,14 @@
 """Exact integer/rational combinatorics behind the closed-form solution.
 
-The mixing coefficients returned by :func:`b_coefficient` are alternating
-sums of binomial ratios.  Evaluated in floating point they suffer
-catastrophic cancellation already for moderate system sizes, so everything
-here is kept in exact ``Fraction`` arithmetic; rounding to float64 happens
-once, at the amplitude-evaluation boundary.
+The mixing table :func:`b_table` comes from an integer three-term recurrence
+in the amplitude index m, the eigen-equation of the sector Hamiltonian in
+the basis of symmetric (Dicke) products divided by sqrt(C(M,m) C(N-M,m)).
+:func:`b_coefficient` evaluates one entry from the paper's alternating
+binomial sum instead, so the two are independent exact references for each
+other.  In floating point the alternating sum cancels catastrophically
+already for moderate system sizes, so everything here stays in exact
+``Fraction`` arithmetic; rounding to float64 happens once, at the
+amplitude-evaluation boundary.
 """
 
 from __future__ import annotations
@@ -40,6 +44,14 @@ def schmidt_multiplicities(spec: ModelSpec) -> tuple[int, ...]:
     )
 
 
+def mode_frequencies(spec: ModelSpec) -> tuple[int, ...]:
+    """Integer frequency n(N+1-n) - M(N-M) of oscillation mode n = 0..M'."""
+    n_tot, m_exc = spec.n_total, spec.m_excited
+    return tuple(
+        n * (n_tot + 1 - n) - m_exc * (n_tot - m_exc) for n in range(spec.m_prime + 1)
+    )
+
+
 @dataclass(frozen=True)
 class BCoefficientTable:
     """Exact rational mixing coefficients, ``entries[m][n]`` for m, n <= M'."""
@@ -58,55 +70,38 @@ def b_coefficient(spec: ModelSpec, m: int, n: int) -> Fraction:
     Computed as the alternating sum over k = 0..m of
     ``(-1)^k C(m,k) C(N-2k, M-k)^{-1} [C(N+1-2k, n-k) - 2 C(N-2k, n-k-1)]``.
     """
-    m_prime = spec.m_prime
+    n_tot, m_exc, m_prime = spec.n_total, spec.m_excited, spec.m_prime
     if not (0 <= m <= m_prime and 0 <= n <= m_prime):
         raise ValueError(
             f"indices must lie in 0..{m_prime}, got m={m}, n={n}"
         )
-    return _b_sum(spec.n_total, spec.m_excited, m, n, binomial)
-
-
-def _b_sum(n_tot: int, m_exc: int, m: int, n: int, choose) -> Fraction:
-    total = Fraction(0)
-    for k in range(m + 1):
-        weight = Fraction((-1) ** k * choose(m, k), choose(n_tot - 2 * k, m_exc - k))
-        bracket = choose(n_tot + 1 - 2 * k, n - k) - 2 * choose(n_tot - 2 * k, n - k - 1)
-        total += weight * bracket
-    return total
+    return sum(
+        Fraction((-1) ** k * comb(m, k), comb(n_tot - 2 * k, m_exc - k))
+        * (binomial(n_tot + 1 - 2 * k, n - k) - 2 * binomial(n_tot - 2 * k, n - k - 1))
+        for k in range(m + 1)
+    )
 
 
 def b_table(spec: ModelSpec) -> BCoefficientTable:
     """Full (M'+1) x (M'+1) table of mixing coefficients.
 
-    Binomials are memoized in a Pascal triangle up to row N+1, cut after
-    column M: the sums never read C(x, y) with y > M, so the triangle costs
-    O(N M) big-int additions instead of O(N^2).  It also makes the table an
-    independent evaluation path from :func:`b_coefficient` (the latter goes
-    through ``math.comb``).
+    Each column n starts from the k = 0 term of the alternating sum,
+    b[0][n] = (C(N+1, n) - 2 C(N, n-1)) / C(N, M), and runs the recurrence
+
+        (M-m)(N-M-m) b[m+1][n] = (-phi_n - m(N-2m)) b[m][n] - m^2 b[m-1][n]
+
+    with phi_n the mode frequency: O(M'^2) Fraction operations.
+    :func:`b_coefficient` is the independent reference it is tested against.
     """
-    rows = _pascal_rows(spec.n_total + 1, spec.m_excited)
-
-    def choose(x: int, y: int) -> int:
-        return rows[x][y] if 0 <= y <= x else 0
-
-    m_prime = spec.m_prime
-    entries = tuple(
-        tuple(
-            _b_sum(spec.n_total, spec.m_excited, m, n, choose)
-            for n in range(m_prime + 1)
-        )
-        for m in range(m_prime + 1)
-    )
-    return BCoefficientTable(spec, entries)
-
-
-def _pascal_rows(x_max: int, y_max: int) -> list[list[int]]:
-    """Rows 0..x_max of Pascal's triangle, each cut after column y_max."""
-    rows = [[1]]
-    for x in range(1, x_max + 1):
-        prev = rows[-1]
-        row = [1] + [prev[i] + prev[i + 1] for i in range(len(prev) - 1)]
-        if x <= y_max:
-            row.append(1)
-        rows.append(row)
-    return rows
+    n_tot, m_exc, m_prime = spec.n_total, spec.m_excited, spec.m_prime
+    columns = []
+    for n, phi in enumerate(mode_frequencies(spec)):
+        first = binomial(n_tot + 1, n) - 2 * binomial(n_tot, n - 1)
+        column = [Fraction(first, comb(n_tot, m_exc))]
+        previous = Fraction(0)
+        for m in range(m_prime):
+            upper = (-phi - m * (n_tot - 2 * m)) * column[m] - m * m * previous
+            previous = column[m]
+            column.append(upper / ((m_exc - m) * (n_tot - m_exc - m)))
+        columns.append(column)
+    return BCoefficientTable(spec, tuple(zip(*columns)))

@@ -12,13 +12,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .combinatorics import BCoefficientTable
+from .combinatorics import BCoefficientTable, mode_frequencies
 from .model import ModelSpec
 
 
 @dataclass(frozen=True, eq=False)
 class PhaseSpectrum:
-    """Integer oscillation frequencies, entry n = n(N+1-n) - M(N-M)."""
+    """Integer oscillation frequencies, entry n as in
+    :func:`~spinvdw.combinatorics.mode_frequencies`."""
 
     spec: ModelSpec
     phases: np.ndarray
@@ -35,12 +36,7 @@ class AmplitudeVector:
 
 def phase_spectrum(spec: ModelSpec) -> PhaseSpectrum:
     """Frequencies multiplying tau in each oscillation mode, n = 0..M'."""
-    n_tot, m_exc = spec.n_total, spec.m_excited
-    phases = np.array(
-        [n * (n_tot + 1 - n) - m_exc * (n_tot - m_exc) for n in range(spec.m_prime + 1)],
-        dtype=np.int64,
-    )
-    return PhaseSpectrum(spec, phases)
+    return PhaseSpectrum(spec, np.array(mode_frequencies(spec), dtype=np.int64))
 
 
 def amplitudes_at(spec: ModelSpec, table: BCoefficientTable, tau: float) -> AmplitudeVector:

@@ -99,7 +99,7 @@ def test_criterion_4_oracle_equivalence():
     ok &= worst_p < 1e-9 and worst_e < 1e-9 and elapsed < 120.0
     report(
         4,
-        "closed form vs dense diagonalization, N<=10, M<=N/2",
+        "closed form vs dense sector Hamiltonian, N<=10, M<=N/2",
         ok,
         f"max|dP| = {worst_p:.2e}, max|dE| = {worst_e:.2e}, {elapsed:.1f}s",
     )
@@ -111,8 +111,8 @@ def test_criterion_5_sector_restriction():
     worst = 0.0
     for n in range(2, 9):
         for m in range(0, n + 1):
-            for tau in rng.uniform(0.0, 4.0 * math.pi, 8):
-                worst = max(worst, full_space_crosscheck(n, m, float(tau)))
+            taus = rng.uniform(0.0, 4.0 * math.pi, 8)
+            worst = max(worst, full_space_crosscheck(n, m, taus))
     elapsed = time.perf_counter() - start
     ok = worst < 1e-10 and elapsed < 60.0
     report(

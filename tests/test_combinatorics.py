@@ -91,9 +91,9 @@ class TestBTable:
         assert table[1][1] == Fraction(-1, n)
 
     def test_matches_elementwise_evaluation(self):
-        # the table path memoizes a Pascal triangle, b_coefficient uses
-        # math.comb: agreement doubles as a cross-check of both
-        for n in range(2, 10):
+        # the table runs the three-term recurrence in m, b_coefficient the
+        # alternating binomial sum: agreement cross-checks both derivations
+        for n in range(2, 25):
             for m_exc in range(0, n + 1):
                 spec = ModelSpec(n, m_exc)
                 table = b_table(spec)
@@ -105,13 +105,33 @@ class TestBTable:
         "n,m_exc", [(40, 0), (40, 1), (40, 33), (40, 40), (41, 20), (41, 21), (60, 59)]
     )
     def test_matches_elementwise_evaluation_at_truncation_edges(self, n, m_exc):
-        # the table's Pascal triangle stops at column M: these specs put the
-        # largest column read on that edge
+        # edges of the recurrence: M' = 0 or 1 (no step or a single step),
+        # M next to N/2 from either side, and M' reached from M > N - M
         spec = ModelSpec(n, m_exc)
         table = b_table(spec)
         for m in range(spec.m_prime + 1):
             for k in range(spec.m_prime + 1):
                 assert table.entries[m][k] == b_coefficient(spec, m, k)
+
+    def test_rows_of_the_200_site_table_match_elementwise_evaluation(self):
+        spec = ModelSpec(200, 100)
+        table = b_table(spec).entries
+        for m in (0, 1, 50, 100):
+            assert table[m] == tuple(b_coefficient(spec, m, k) for k in range(101))
+
+    @pytest.mark.parametrize("n,m_exc", [(12, 5), (30, 11), (9, 7), (40, 20)])
+    def test_gram_identity(self, n, m_exc):
+        # sum_m D_m b[m][k] b[m][k'] = b[0][k] delta_{kk'}: the columns are
+        # orthogonal under the Schmidt multiplicities, which neither the
+        # recurrence nor the alternating sum is built from
+        spec = ModelSpec(n, m_exc)
+        table = b_table(spec).entries
+        weights = schmidt_multiplicities(spec)
+        size = spec.m_prime + 1
+        for k in range(size):
+            for k2 in range(size):
+                gram = sum(w * row[k] * row[k2] for w, row in zip(weights, table))
+                assert gram == (table[0][k] if k == k2 else 0)
 
     def test_rows_sum_to_initial_condition(self):
         # sum_n b[m][n] must collapse to delta_{m,0}: the tau=0 state is the

@@ -476,6 +476,33 @@ class TestFullSpaceCrosscheck:
         with pytest.raises(BudgetExceededError):
             full_space_crosscheck(9, 1, 0.1)
 
+    def test_tau_array_rows_match_scalar_calls(self):
+        taus = np.array([0.0, 0.37, 2.9, 11.5, -4.2])
+        for n, m in ((2, 1), (5, 2), (7, 3), (8, 8)):
+            batched = full_space_propagate(n, m, taus)
+            assert batched.shape == (taus.size, 1 << n)
+            for tau, row in zip(taus, batched):
+                assert np.max(np.abs(row - full_space_propagate(n, m, float(tau)))) < 1e-13
+            worst = max(full_space_crosscheck(n, m, float(tau)) for tau in taus)
+            assert full_space_crosscheck(n, m, taus) == pytest.approx(worst, abs=1e-13)
+
+    @pytest.mark.parametrize(
+        "n,tau",
+        [
+            (2, math.nan),
+            (3, math.inf),
+            (3, -math.inf),
+            (4, np.array([0.1, math.nan, 2.0])),
+            (4, np.array([math.inf, 0.5])),
+            (4, np.array([0.5, -math.inf])),
+        ],
+    )
+    def test_non_finite_tau_rejected(self, n, tau):
+        with pytest.raises(ValueError, match="tau"):
+            full_space_propagate(n, 1, tau)
+        with pytest.raises(ValueError, match="tau"):
+            full_space_crosscheck(n, 1, tau)
+
     def test_excitation_number_conserved(self):
         # full-space evolution must keep all weight in the initial sector
         for n, m in ((4, 1), (5, 2), (6, 3)):
