@@ -3,8 +3,10 @@ XY (spin van der Waals / Lipkin-Meshkov-Glick) systems.
 
 Two independent pipelines compute the same observables: a closed-form one
 (exact rational mixing coefficients, integer oscillation frequencies) and a
-brute-force one (dense sector Hamiltonians, propagated exactly).  The
-:mod:`spinvdw.oracle` module compares them; the CLI exposes both.
+brute-force one (dense sector Hamiltonians, propagated exactly in a Krylov
+subspace, and Schmidt spectra from the block-diagonal reduced density, one
+batched step for all sample times).  The :mod:`spinvdw.oracle` module
+compares them; the CLI exposes both.
 """
 
 from .backend import KERNEL_BACKEND
@@ -29,16 +31,10 @@ from .entanglement import (
     max_entropy_at_t2,
     schmidt_spectrum,
 )
-from .evolution import (
-    AmplitudeVector,
-    PhaseSpectrum,
-    amplitudes_at,
-    phase_spectrum,
-)
+from .evolution import AmplitudeVector, amplitudes_at
 from .model import ModelSpec
 from .oracle import (
     BudgetExceededError,
-    ReducedDensity,
     SectorBasis,
     SectorHamiltonian,
     SectorState,
@@ -47,7 +43,6 @@ from .oracle import (
     full_space_crosscheck,
     initial_sector_state,
     propagate,
-    reduced_density,
     schmidt_eigenvalues,
     sector_basis,
     verify_closed_form,
@@ -65,8 +60,6 @@ __all__ = [
     "CriticalTimes",
     "ModelSpec",
     "NormalizationError",
-    "PhaseSpectrum",
-    "ReducedDensity",
     "ScanRow",
     "SchmidtSpectrum",
     "SectorBasis",
@@ -87,9 +80,7 @@ __all__ = [
     "initial_sector_state",
     "magic_number_scan",
     "max_entropy_at_t2",
-    "phase_spectrum",
     "propagate",
-    "reduced_density",
     "schmidt_eigenvalues",
     "schmidt_multiplicities",
     "schmidt_spectrum",

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import comb
 
 import numpy as np
@@ -59,9 +60,13 @@ class BCoefficientTable:
     spec: ModelSpec
     entries: tuple[tuple[Fraction, ...], ...]
 
-    def as_array(self) -> np.ndarray:
-        """Entries rounded to float64 (the only lossy step of the pipeline)."""
-        return np.array([[float(v) for v in row] for row in self.entries])
+    @cached_property
+    def array(self) -> np.ndarray:
+        """Entries rounded to float64 (the only lossy step of the pipeline),
+        once per table; the array is read-only."""
+        array = np.array([[float(v) for v in row] for row in self.entries])
+        array.flags.writeable = False
+        return array
 
 
 def b_coefficient(spec: ModelSpec, m: int, n: int) -> Fraction:

@@ -15,8 +15,8 @@ import numpy as np
 
 from . import backend
 from .backend import ZERO_CUTOFF
-from .combinatorics import b_table, schmidt_multiplicities
-from .evolution import AmplitudeVector, phase_spectrum
+from .combinatorics import b_table, mode_frequencies, schmidt_multiplicities
+from .evolution import AmplitudeVector
 from .model import ModelSpec
 
 # Integrity threshold on |sum(P) - 1| before a spectrum is rejected.
@@ -111,17 +111,12 @@ def kernel_inputs(spec: ModelSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     mixing table rounded to float, the integer frequencies and the Schmidt
     multiplicities.
     """
-    arrays = tuple(
-        np.ascontiguousarray(values, dtype=float)
-        for values in (
-            b_table(spec).as_array(),
-            phase_spectrum(spec).phases,
-            schmidt_multiplicities(spec),
-        )
+    phases, degeneracy = (
+        np.array(values, dtype=float)
+        for values in (mode_frequencies(spec), schmidt_multiplicities(spec))
     )
-    for array in arrays:
-        array.flags.writeable = False
-    return arrays
+    phases.flags.writeable = degeneracy.flags.writeable = False
+    return b_table(spec).array, phases, degeneracy
 
 
 def entropy_grid(spec: ModelSpec, tau_grid) -> tuple[np.ndarray, np.ndarray]:

@@ -17,15 +17,6 @@ from .model import ModelSpec
 
 
 @dataclass(frozen=True, eq=False)
-class PhaseSpectrum:
-    """Integer oscillation frequencies, entry n as in
-    :func:`~spinvdw.combinatorics.mode_frequencies`."""
-
-    spec: ModelSpec
-    phases: np.ndarray
-
-
-@dataclass(frozen=True, eq=False)
 class AmplitudeVector:
     """Closed-form amplitudes at one dimensionless time."""
 
@@ -34,13 +25,9 @@ class AmplitudeVector:
     amplitudes: np.ndarray
 
 
-def phase_spectrum(spec: ModelSpec) -> PhaseSpectrum:
-    """Frequencies multiplying tau in each oscillation mode, n = 0..M'."""
-    return PhaseSpectrum(spec, np.array(mode_frequencies(spec), dtype=np.int64))
-
-
 def amplitudes_at(spec: ModelSpec, table: BCoefficientTable, tau: float) -> AmplitudeVector:
-    """Amplitudes C_m(tau) = sum_n b[m][n] exp(i phases[n] tau).
+    """Amplitudes C_m(tau) = sum_n b[m][n] exp(i phi_n tau), with phi_n the
+    integer :func:`~spinvdw.combinatorics.mode_frequencies`.
 
     Raises ValueError for a non-finite tau.
     """
@@ -53,6 +40,6 @@ def amplitudes_at(spec: ModelSpec, table: BCoefficientTable, tau: float) -> Ampl
         raise ValueError(f"tau must be finite, got {tau!r}")
     # an overflowing phase gives NaN amplitudes, which schmidt_spectrum rejects
     with np.errstate(over="ignore", invalid="ignore"):
-        angles = phase_spectrum(spec).phases * tau
+        angles = np.array(mode_frequencies(spec), dtype=np.int64) * tau
         oscillation = np.cos(angles) + 1j * np.sin(angles)
-    return AmplitudeVector(spec, tau, table.as_array() @ oscillation)
+    return AmplitudeVector(spec, tau, table.array @ oscillation)

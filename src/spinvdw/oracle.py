@@ -1,6 +1,6 @@
 """Brute-force verification path: dense excitation-sector Hamiltonians,
-exact propagation in the start state's Krylov subspace, reduced density
-matrices.
+exact propagation in the start state's Krylov subspace, and Schmidt spectra
+from the block-diagonal reduced density.
 
 Propagation runs Lanczos from the start state on the dense sector matrix
 until the residual vanishes, so the cyclic subspace it spans is invariant
@@ -8,6 +8,12 @@ and exp(-i H tau) acts on it exactly through one small tridiagonal
 eigendecomposition.  The subspace is found from the matrix and the start
 vector alone: nothing sizes it from the model.  One call does one Lanczos
 pass and evolves to every time of a 1-d tau array at once.
+
+The reduced density of a sector state is block diagonal in the kept side's
+excitation count, because the Hamiltonian conserves excitation number.
+:func:`schmidt_eigenvalues` diagonalizes it block by block, for a whole stack
+of states per call, without forming the 2^M x 2^(N-M) coefficient matrix;
+it uses no permutation symmetry of the sites.
 
 Everything here is rebuilt from the Hamiltonian itself, independently of
 the closed-form modules, so that :func:`verify_closed_form` can compare the
@@ -22,7 +28,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -69,15 +74,6 @@ class SectorState:
 
     basis: SectorBasis
     amplitudes: np.ndarray
-
-
-@dataclass(frozen=True, eq=False)
-class ReducedDensity:
-    """Reduced density matrix of the first ``partition_size`` sites."""
-
-    partition_size: int
-    matrix: np.ndarray
-    eigenvalues: np.ndarray  # descending
 
 
 def sector_basis(n_total: int, excitation_count: int) -> SectorBasis:
@@ -195,80 +191,75 @@ def propagate(h: SectorHamiltonian, initial: SectorState, tau) -> SectorState:
     return SectorState(h.basis, (norm * (phased @ rotation.T)) @ vectors)
 
 
-def _partial_density(state: SectorState, boundary: int, keep_first: bool) -> np.ndarray:
-    """Density matrix of the first ``boundary`` sites (``keep_first``) or of
-    the remaining sites (otherwise), built directly from the sector state.
-
-    The amplitudes are scattered into the (kept x traced) coefficient matrix
-    C, whose rows are the kept-side patterns, and rho = C C^dagger.
-    """
-    n_total = state.basis.n_total
-    kept_sites = boundary if keep_first else n_total - boundary
-    patterns = np.array(state.basis.states, dtype=np.int64)
-    kept, traced = patterns & ((1 << boundary) - 1), patterns >> boundary
-    if not keep_first:
-        kept, traced = traced, kept
-    coefficients = np.zeros((1 << kept_sites, 1 << (n_total - kept_sites)), dtype=complex)
-    coefficients[kept, traced] = state.amplitudes
-    return coefficients @ coefficients.conj().T
-
-
-def reduced_density(state: SectorState, partition_size: int) -> ReducedDensity:
-    """Trace out everything but the first ``partition_size`` sites."""
-    n_total = state.basis.n_total
-    if not 1 <= partition_size <= n_total - 1:
-        raise ValueError(
-            f"partition size must lie in 1..{n_total - 1}, got {partition_size}"
-        )
-    rho = _partial_density(state, partition_size, keep_first=True)
-    trace = float(np.trace(rho).real)
-    if not abs(trace - 1.0) <= 1e-10:  # NaN fails too
-        raise ValueError(f"reduced density has trace {trace!r}")
-    eigenvalues = np.linalg.eigvalsh(rho)[::-1]
-    return ReducedDensity(partition_size, rho, eigenvalues)
-
-
 def schmidt_eigenvalues(state: SectorState, partition_size: int) -> np.ndarray:
     """Eigenvalues (descending) of the reduced density over the first
     ``partition_size`` sites, computed on the smaller side of the cut.
 
-    For a pure state both sides share the nonzero spectrum, so tracing to
-    the smaller subsystem is free accuracy and memory.
+    ``state`` holds one amplitude vector, shape (d,), or a stack, (T, d);
+    the result has shape (r,) or (T, r), with one eigenvalue per kept-side
+    pattern that occurs in the sector (kept patterns that never occur only
+    add zeros).  Excitation number is conserved, so rho is block diagonal in
+    the kept side's excitation count k: block k is C_k C_k^dagger, where C_k
+    holds the amplitudes whose kept half has k excitations, rows indexed by
+    the kept pattern and columns by the traced one.  The split and the block
+    index maps are built once per call; each block then takes one batched
+    product and one batched ``eigvalsh``.  For a pure state both sides share
+    the nonzero spectrum, so tracing to the smaller subsystem is free
+    accuracy and memory.  Raises ValueError for a non-finite amplitude.
     """
-    n_total = state.basis.n_total
+    basis = state.basis
+    n_total = basis.n_total
     if not 0 <= partition_size <= n_total:
         raise ValueError(
             f"partition size must lie in 0..{n_total}, got {partition_size}"
         )
-    if partition_size in (0, n_total):
-        return np.array([1.0])
-    keep_first = partition_size <= n_total - partition_size
-    rho = _partial_density(state, partition_size, keep_first)
-    return np.linalg.eigvalsh(rho)[::-1]
+    amplitudes = np.asarray(state.amplitudes, dtype=complex)
+    if amplitudes.ndim not in (1, 2) or amplitudes.shape[-1] != len(basis.states):
+        raise ValueError(
+            f"amplitudes of shape {amplitudes.shape} do not fit a basis of "
+            f"{len(basis.states)} states"
+        )
+    if not np.isfinite(amplitudes).all():
+        raise ValueError("sector state has a non-finite amplitude")
+    patterns = np.array(basis.states, dtype=np.int64)
+    kept, traced = patterns & ((1 << partition_size) - 1), patterns >> partition_size
+    kept_sites = min(partition_size, n_total - partition_size)
+    if partition_size > kept_sites:
+        kept, traced = traced, kept
+    kept_count = (kept[:, None] >> np.arange(kept_sites) & 1).sum(axis=1)
+    spectra = []
+    # the occurring counts, by bincount: a bare np.unique imports numpy.ma
+    for k in np.flatnonzero(np.bincount(kept_count)):
+        members = np.flatnonzero(kept_count == k)
+        rows, row = np.unique(kept[members], return_inverse=True)
+        cols, col = np.unique(traced[members], return_inverse=True)
+        block = np.zeros(amplitudes.shape[:-1] + (rows.size, cols.size), dtype=complex)
+        block[..., row, col] = amplitudes[..., members]
+        spectra.append(np.linalg.eigvalsh(block @ block.conj().swapaxes(-1, -2)))
+    return np.sort(np.concatenate(spectra, axis=-1), axis=-1)[..., ::-1]
 
 
-def von_neumann_entropy(rho) -> float:
-    """Base-2 entropy of a reduced density matrix or eigenvalue list, in ebits.
+def von_neumann_entropy(eigenvalues):
+    """Base-2 entropy of a density-matrix spectrum, in ebits, along the last
+    axis: a Python float for one spectrum, an array for a stack of them.
 
     Rounding noise in [-1e-9, 0] is clipped to zero; anything more negative
-    is rejected as a broken density matrix.  A NaN or infinite eigenvalue
-    gives NaN.
+    in a finite spectrum is rejected as a broken density matrix.  A spectrum
+    with a NaN or infinite eigenvalue gives NaN.
     """
-    if isinstance(rho, ReducedDensity):
-        eigenvalues = rho.eigenvalues
-    else:
-        eigenvalues = np.asarray(rho, dtype=float)
-    if not np.isfinite(eigenvalues).all():
-        return math.nan
-    if eigenvalues.size and float(eigenvalues.min()) < -1e-9:
+    values = np.asarray(eigenvalues, dtype=float)
+    finite = np.isfinite(values).all(axis=-1)
+    values = np.where(finite[..., None], values, 1.0)
+    lowest = values.min(axis=-1, initial=0.0)
+    if (lowest < -1e-9).any():
         raise ValueError(
-            f"density matrix has a negative eigenvalue: {float(eigenvalues.min())!r}"
+            f"density matrix has a negative eigenvalue: {float(lowest.min())!r}"
         )
-    total = 0.0
-    for lam in eigenvalues:
-        if lam > 1e-300:
-            total -= lam * math.log2(lam)
-    return max(0.0, total)
+    positive = np.where(values > 1e-300, values, 1.0)  # log2(1) = 0 drops the rest
+    total = -(positive * np.log2(positive)).sum(axis=-1)
+    # clips rounding below zero, -0.0 included; NaN marks a non-finite row
+    total = np.where(finite, np.where(total > 0.0, total, 0.0), np.nan)
+    return float(total) if total.ndim == 0 else total
 
 
 @dataclass(frozen=True)
@@ -295,11 +286,12 @@ def verify_closed_form(spec: ModelSpec, tau_samples) -> VerificationReport:
 
     Both closed-form paths are checked: the reference path
     (:func:`amplitudes_at`, one time at a time) and the kernel path
-    (:func:`entropy_grid`, all samples in one call).  The oracle evolves to
-    every sample in one :func:`propagate` call.  Each closed-form spectrum is
-    zero-padded to the reduced-density dimension and compared with the
-    oracle's in descending order.  Raises ValueError unless the samples are
-    finite and non-empty; a NaN deviation fails the report.
+    (:func:`entropy_grid`, all samples in one call).  The oracle evolves,
+    reduces and scores every sample in one :func:`propagate`, one
+    :func:`schmidt_eigenvalues` and one :func:`von_neumann_entropy` call.
+    Each closed-form spectrum is zero-padded to the oracle's spectrum length
+    and compared with it in descending order.  Raises ValueError unless the
+    samples are finite and non-empty; a NaN deviation fails the report.
     """
     from .combinatorics import b_table
     from .entanglement import entropy, entropy_grid, schmidt_spectrum
@@ -308,23 +300,21 @@ def verify_closed_form(spec: ModelSpec, tau_samples) -> VerificationReport:
     taus = np.atleast_1d(np.asarray(tau_samples, dtype=float))
     if taus.size == 0 or not np.isfinite(taus).all():
         raise ValueError("tau samples must be finite and non-empty")
-    h = build_sector_hamiltonian(spec.n_total, spec.m_excited)
-    psi0 = initial_sector_state(spec.n_total, spec.m_excited)
+    # the d x d hop matrix is freed before the Schmidt step's temporaries
+    evolved = propagate(
+        build_sector_hamiltonian(spec.n_total, spec.m_excited),
+        initial_sector_state(spec.n_total, spec.m_excited),
+        taus,
+    )
+    oracle_eig = schmidt_eigenvalues(evolved, spec.m_excited)
+    dense_entropies = von_neumann_entropy(oracle_eig)
+    dense = np.zeros((taus.size, max(oracle_eig.shape[1], spec.m_prime + 1)))
+    dense[:, : oracle_eig.shape[1]] = oracle_eig
     table = b_table(spec)
-    padded = max(2**spec.m_prime, spec.m_prime + 1)
-    evolved = propagate(h, psi0, taus).amplitudes
+    spectra = [schmidt_spectrum(amplitudes_at(spec, table, tau)) for tau in taus]
+    reference_probs = np.array([spectrum.probabilities for spectrum in spectra])
+    reference_entropies = np.array([entropy(spectrum) for spectrum in spectra])
     kernel_probs, kernel_entropies = entropy_grid(spec, taus)
-    reference_probs = np.empty_like(kernel_probs)
-    reference_entropies = np.empty_like(kernel_entropies)
-    dense = np.zeros((taus.size, padded))
-    dense_entropies = np.empty(taus.size)
-    for i, (tau, amplitudes) in enumerate(zip(taus, evolved)):
-        spectrum = schmidt_spectrum(amplitudes_at(spec, table, float(tau)))
-        reference_probs[i] = spectrum.probabilities
-        reference_entropies[i] = entropy(spectrum)
-        oracle_eig = schmidt_eigenvalues(SectorState(h.basis, amplitudes), spec.m_excited)
-        dense[i, : oracle_eig.size] = oracle_eig
-        dense_entropies[i] = von_neumann_entropy(oracle_eig)
     spectrum_deviations = []
     entropy_deviations = []
     for probs, entropies in (

@@ -82,6 +82,14 @@ class TestBTable:
     def test_vacuum_table(self):
         assert b_table(ModelSpec(3, 0)).entries == ((Fraction(1),),)
 
+    def test_float_array_rounded_once_and_read_only(self):
+        table = b_table(ModelSpec(7, 3))
+        array = table.array
+        assert table.array is array
+        assert array.tolist() == [[float(v) for v in row] for row in table.entries]
+        with pytest.raises(ValueError):
+            array[0, 0] = 0.0
+
     @pytest.mark.parametrize("n", range(2, 51))
     def test_single_excitation_closed_subform(self, n):
         table = b_table(ModelSpec(n, 1)).entries

@@ -19,7 +19,6 @@ from spinvdw.oracle import (
     full_space_propagate,
     initial_sector_state,
     propagate,
-    reduced_density,
     schmidt_eigenvalues,
     sector_basis,
     verify_closed_form,
@@ -203,31 +202,35 @@ class TestKrylovPropagate:
 
 
 class TestReducedDensity:
+    """The reduced density's spectrum, from the block-diagonal Schmidt step."""
+
     def test_bell_like_state(self):
         h = build_sector_hamiltonian(2, 1)
         state = propagate(h, initial_sector_state(2, 1), math.pi / 4)
-        rho = reduced_density(state, 1)
-        assert np.max(np.abs(rho.eigenvalues - 0.5)) < 1e-14
+        eigenvalues = schmidt_eigenvalues(state, 1)
+        assert np.max(np.abs(eigenvalues - 0.5)) < 1e-14
 
     def test_product_state(self):
-        rho = reduced_density(initial_sector_state(4, 2), 2)
-        assert abs(rho.eigenvalues[0] - 1.0) < 1e-14
-        assert np.max(np.abs(rho.eigenvalues[1:])) < 1e-14
+        eigenvalues = schmidt_eigenvalues(initial_sector_state(4, 2), 2)
+        assert abs(eigenvalues[0] - 1.0) < 1e-14
+        assert np.max(np.abs(eigenvalues[1:])) < 1e-14
 
     def test_seven_site_rationals(self):
         h = build_sector_hamiltonian(7, 1)
         state = propagate(h, initial_sector_state(7, 1), math.pi / 7)
-        rho = reduced_density(state, 1)
-        assert abs(rho.eigenvalues[0] - 25.0 / 49.0) < 1e-9
-        assert abs(rho.eigenvalues[1] - 24.0 / 49.0) < 1e-9
+        eigenvalues = schmidt_eigenvalues(state, 1)
+        assert abs(eigenvalues[0] - 25.0 / 49.0) < 1e-9
+        assert abs(eigenvalues[1] - 24.0 / 49.0) < 1e-9
 
     def test_hermitian_unit_trace_psd(self):
+        # eigvalsh of each Hermitian block: real, summing to the unit trace
         h = build_sector_hamiltonian(6, 3)
         state = propagate(h, initial_sector_state(6, 3), 1.234)
-        rho = reduced_density(state, 3)
-        assert np.max(np.abs(rho.matrix - rho.matrix.conj().T)) < 1e-12
-        assert abs(np.trace(rho.matrix).real - 1.0) < 1e-10
-        assert rho.eigenvalues.min() > -1e-12
+        eigenvalues = schmidt_eigenvalues(state, 3)
+        assert eigenvalues.shape == (8,)
+        assert abs(eigenvalues.sum() - 1.0) < 1e-10
+        assert eigenvalues.min() > -1e-12
+        assert np.all(np.diff(eigenvalues) <= 0.0)
 
     def test_rank_bounded_by_amplitude_count(self):
         rng = np.random.default_rng(4)
@@ -239,17 +242,29 @@ class TestReducedDensity:
             assert int((eig > 1e-12).sum()) <= min(m, n - m) + 1
 
     def test_nan_state_rejected(self):
+        # a non-finite amplitude raises, as in propagate, rather than giving
+        # NaN rows: eigvalsh has no defined result on such a block
         basis = sector_basis(4, 2)
-        amplitudes = np.full(len(basis.states), np.nan, dtype=complex)
-        with pytest.raises(ValueError, match="trace"):
-            reduced_density(SectorState(basis, amplitudes), 2)
+        for bad in (math.nan, math.inf):
+            amplitudes = np.zeros((3, len(basis.states)), dtype=complex)
+            amplitudes[:, 0] = 1.0
+            amplitudes[1, 2] = bad
+            with pytest.raises(ValueError, match="non-finite"):
+                schmidt_eigenvalues(SectorState(basis, amplitudes), 2)
+            with pytest.raises(ValueError, match="non-finite"):
+                schmidt_eigenvalues(SectorState(basis, amplitudes[1]), 2)
 
     def test_invalid_partition(self):
-        state = initial_sector_state(4, 2)
-        with pytest.raises(ValueError):
-            reduced_density(state, 0)
-        with pytest.raises(ValueError):
-            reduced_density(state, 4)
+        stacked = SectorState(sector_basis(4, 2), np.eye(6, dtype=complex))
+        for size in (-1, 5):
+            with pytest.raises(ValueError, match=r"0\.\.4"):
+                schmidt_eigenvalues(stacked, size)
+
+    @pytest.mark.parametrize("shape", [(5,), (2, 7), (2, 3, 6)])
+    def test_amplitudes_must_fit_basis(self, shape):
+        state = SectorState(sector_basis(4, 2), np.zeros(shape, dtype=complex))
+        with pytest.raises(ValueError, match="basis of 6 states"):
+            schmidt_eigenvalues(state, 2)
 
     @pytest.mark.parametrize("size", [-1, 7, 9])
     def test_schmidt_partition_out_of_range(self, size):
@@ -282,8 +297,8 @@ class TestReducedDensity:
 
     @pytest.mark.parametrize("n,m", [(6, 2), (8, 3), (7, 5), (9, 6)])
     def test_matches_full_space_trace(self, n, m):
-        # both branches of the scatter: keep the first m sites (m <= n/2)
-        # and keep the last n-m sites (m > n/2)
+        # both sides of the cut: keep the first m sites (m <= n/2) and keep
+        # the last n-m sites (m > n/2)
         state = _random_sector_state(n, m, seed=10 * n + m)
         full = np.zeros(1 << n, dtype=complex)
         full[list(state.basis.states)] = state.amplitudes
@@ -291,12 +306,39 @@ class TestReducedDensity:
         coefficients = full.reshape(1 << (n - m), 1 << m)
         rho_first = np.einsum("tk,tl->kl", coefficients, coefficients.conj())
         rho_last = np.einsum("kt,lt->kl", coefficients, coefficients.conj())
-        assert np.max(np.abs(reduced_density(state, m).matrix - rho_first)) < 1e-12
         smaller = rho_first if m <= n - m else rho_last
         expected = np.linalg.eigvalsh(smaller)[::-1]
         eigenvalues = schmidt_eigenvalues(state, m)
         assert eigenvalues.shape == expected.shape
         assert np.max(np.abs(eigenvalues - expected)) < 1e-12
+
+    @pytest.mark.parametrize(
+        "n,m,size",
+        [(6, 2, 2), (7, 5, 5), (8, 3, 5), (6, 1, 3), (5, 2, 0), (13, 6, 6), (13, 6, 7)],
+    )
+    def test_stack_matches_rows_and_full_trace(self, n, m, size):
+        # (T, d) in, (T, r) out: each row as a call of its own, and as the
+        # full 2^s trace on the smaller side s of the cut, zero-padded where
+        # some kept-side patterns never occur in the sector
+        rows = np.array([_random_sector_state(n, m, seed=t).amplitudes for t in range(3)])
+        basis = sector_basis(n, m)
+        stacked = schmidt_eigenvalues(SectorState(basis, rows), size)
+        full = np.zeros((3, 1 << n), dtype=complex)
+        full[:, list(basis.states)] = rows
+        # row index: bits of sites size..n-1, column index: bits of sites 0..size-1
+        coefficients = full.reshape(3, 1 << (n - size), 1 << size)
+        if size > n - size:
+            coefficients = coefficients.swapaxes(1, 2)
+        expected = np.linalg.eigvalsh(
+            np.einsum("utk,utl->ukl", coefficients, coefficients.conj())
+        )[:, ::-1]
+        assert stacked.shape[0] == 3 and stacked.shape[1] <= expected.shape[1]
+        padded = np.zeros_like(expected)
+        padded[:, : stacked.shape[1]] = stacked
+        assert np.max(np.abs(padded - expected)) < 1e-12
+        for row, eigenvalues in zip(rows, stacked):
+            single = schmidt_eigenvalues(SectorState(basis, row), size)
+            assert np.max(np.abs(single - eigenvalues)) < 1e-14
 
 
 def _random_sector_state(n_sites: int, excitations: int, seed: int) -> SectorState:
@@ -340,9 +382,22 @@ class TestVonNeumannEntropy:
     def test_nan_eigenvalue_gives_nan(self, eigenvalues):
         assert math.isnan(von_neumann_entropy(np.array(eigenvalues)))
 
-    def test_accepts_reduced_density(self):
-        rho = reduced_density(initial_sector_state(3, 1), 1)
-        assert von_neumann_entropy(rho) < 1e-12
+    def test_rows_match_single_calls(self):
+        rows = np.array(
+            [[0.5, 0.5, 0.0], [math.nan, 0.5, 0.5], [24 / 49, 25 / 49, 0.0],
+             [1.0, -1e-12, 0.0], [0.7, math.inf, 0.1], [0.25, 0.25, 0.5]]
+        )
+        entropies = von_neumann_entropy(rows)
+        assert entropies.shape == (6,)
+        for row, value in zip(rows, entropies):
+            single = von_neumann_entropy(row)
+            assert isinstance(single, float)
+            assert single == value or (math.isnan(single) and math.isnan(value))
+        assert np.isnan(entropies).tolist() == [False, True, False, False, True, False]
+
+    def test_broken_row_rejected_next_to_nan_row(self):
+        with pytest.raises(ValueError, match="negative"):
+            von_neumann_entropy(np.array([[math.nan, 1.0], [1.1, -0.1], [0.5, 0.5]]))
 
 
 class TestVerifyClosedForm:
@@ -382,11 +437,13 @@ class TestVerifyClosedForm:
 
         def nan_at_second_sample(state, size):
             calls.append(size)
-            eig = schmidt_eigenvalues(state, size)
-            return np.full_like(eig, math.nan) if len(calls) == 2 else eig
+            eig = schmidt_eigenvalues(state, size).copy()
+            eig[1] = math.nan
+            return eig
 
         monkeypatch.setattr(oracle, "schmidt_eigenvalues", nan_at_second_sample)
         report = verify_closed_form(ModelSpec(4, 1), [0.0, 0.3, 0.7])
+        assert calls == [1]  # one batched call for all samples
         assert math.isnan(report.max_spectrum_deviation)
         assert math.isnan(report.max_entropy_deviation)
         assert not report.passed
@@ -438,15 +495,14 @@ class TestVerifyClosedForm:
                 assert abs(oracle - analytic) < 1e-9
 
     def test_shifted_phase_is_caught(self, monkeypatch):
-        true_spectrum = evolution.phase_spectrum
+        # shifts the reference path's frequencies only; the kernel's are cached
+        true_frequencies = evolution.mode_frequencies
 
         def shifted(spec):
-            spectrum = true_spectrum(spec)
-            phases = spectrum.phases.copy()
-            phases[-1] += 1
-            return evolution.PhaseSpectrum(spec, phases)
+            *lower, top = true_frequencies(spec)
+            return (*lower, top + 1)
 
-        monkeypatch.setattr(evolution, "phase_spectrum", shifted)
+        monkeypatch.setattr(evolution, "mode_frequencies", shifted)
         rng = np.random.default_rng(8)
         assert not verify_closed_form(ModelSpec(8, 3), rng.uniform(0, 4 * math.pi, 16)).passed
 
