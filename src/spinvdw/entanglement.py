@@ -15,7 +15,7 @@ import numpy as np
 
 from . import backend
 from .backend import ZERO_CUTOFF
-from .combinatorics import b_table, mode_frequencies, schmidt_multiplicities
+from .combinatorics import BCoefficientTable, b_table, mode_frequencies, schmidt_multiplicities
 from .evolution import AmplitudeVector
 from .model import ModelSpec
 
@@ -103,6 +103,16 @@ def entropy(spectrum) -> float:
     return max(0.0, float(-(probs * np.log2(probs)).sum()))
 
 
+@functools.lru_cache(maxsize=1)
+def exact_table(spec: ModelSpec) -> BCoefficientTable:
+    """The exact mixing table of one spec.
+
+    The last table is kept, so a caller that needs both the table and
+    :func:`kernel_inputs` for a spec (the closed-form check) builds it once.
+    """
+    return b_table(spec)
+
+
 @functools.lru_cache(maxsize=KERNEL_CACHE_SIZE)
 def kernel_inputs(spec: ModelSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The kernel's ``(coeffs, phases, degeneracy)`` for one spec.
@@ -116,7 +126,7 @@ def kernel_inputs(spec: ModelSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         for values in (mode_frequencies(spec), schmidt_multiplicities(spec))
     )
     phases.flags.writeable = degeneracy.flags.writeable = False
-    return b_table(spec).array, phases, degeneracy
+    return exact_table(spec).array, phases, degeneracy
 
 
 def entropy_grid(spec: ModelSpec, tau_grid) -> tuple[np.ndarray, np.ndarray]:

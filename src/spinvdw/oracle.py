@@ -293,8 +293,7 @@ def verify_closed_form(spec: ModelSpec, tau_samples) -> VerificationReport:
     and compared with it in descending order.  Raises ValueError unless the
     samples are finite and non-empty; a NaN deviation fails the report.
     """
-    from .combinatorics import b_table
-    from .entanglement import entropy, entropy_grid, schmidt_spectrum
+    from .entanglement import entropy, entropy_grid, exact_table, schmidt_spectrum
     from .evolution import amplitudes_at
 
     taus = np.atleast_1d(np.asarray(tau_samples, dtype=float))
@@ -310,7 +309,8 @@ def verify_closed_form(spec: ModelSpec, tau_samples) -> VerificationReport:
     dense_entropies = von_neumann_entropy(oracle_eig)
     dense = np.zeros((taus.size, max(oracle_eig.shape[1], spec.m_prime + 1)))
     dense[:, : oracle_eig.shape[1]] = oracle_eig
-    table = b_table(spec)
+    # built once: the kernel path below reads the same table
+    table = exact_table(spec)
     spectra = [schmidt_spectrum(amplitudes_at(spec, table, tau)) for tau in taus]
     reference_probs = np.array([spectrum.probabilities for spectrum in spectra])
     reference_entropies = np.array([entropy(spectrum) for spectrum in spectra])

@@ -1,13 +1,18 @@
 from __future__ import annotations
 
+import concurrent.futures
+import os
+import sys
 import tracemalloc
+import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
 from spinvdw import backend
 from spinvdw.combinatorics import b_table
-from spinvdw.entanglement import kernel_inputs
+from spinvdw.entanglement import NormalizationError, entropy_grid, kernel_inputs
 from spinvdw.evolution import amplitudes_at
 from spinvdw.model import ModelSpec
 
@@ -80,7 +85,7 @@ def test_block_boundaries_do_not_change_rows(n_total, m_excited, length):
     assert np.max(np.abs(entropies - ref_entropies)) < 1e-14
 
 
-def test_memory_is_output_plus_one_block():
+def _assert_memory_is_output_plus_block_buffers():
     inputs = kernel_inputs(ModelSpec(40, 20))
     taus = np.linspace(0.0, 10.0, 100_000)
     columns = inputs[1].size
@@ -90,9 +95,118 @@ def test_memory_is_output_plus_one_block():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # a block's temporaries: a handful of (BLOCK, M'+1) float64 arrays
+    # each of at most MAX_WORKERS workers holds two (2 * BLOCK, M'+1) float64
+    # buffers, plus a block's comparison mask
     allowance = 16 * BLOCK * columns * 8
     assert peak < probs.nbytes + entropies.nbytes + allowance
+
+
+def test_memory_is_output_plus_one_block():
+    _assert_memory_is_output_plus_block_buffers()
+
+
+def report_cpus(monkeypatch, count):
+    """Make the kernel see ``count`` available CPUs."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+
+
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """The worker count of every thread pool the kernel starts."""
+    sizes = []
+
+    class RecordedPool(ThreadPoolExecutor):
+        def __init__(self, max_workers, *args, **kwargs):
+            sizes.append(max_workers)
+            super().__init__(max_workers, *args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", RecordedPool)
+    return sizes
+
+
+def test_memory_bound_holds_with_many_cpus(monkeypatch, pool_sizes):
+    report_cpus(monkeypatch, 64)
+    _assert_memory_is_output_plus_block_buffers()
+    assert pool_sizes == [backend.MAX_WORKERS]
+
+
+@pytest.mark.parametrize("length", [1, BLOCK, 3 * BLOCK + 1])
+@pytest.mark.parametrize("n_total, m_excited", [(24, 12), (80, 40)])
+def test_rows_do_not_depend_on_worker_count(monkeypatch, pool_sizes, n_total, m_excited, length):
+    inputs = kernel_inputs(ModelSpec(n_total, m_excited))
+    taus = np.random.default_rng(length).uniform(-20.0, 20.0, length)
+    blocks = -(-length // BLOCK)
+    results = {}
+    for cpus in (1, 2, 64):
+        report_cpus(monkeypatch, cpus)
+        pool_sizes.clear()
+        results[cpus] = backend.schmidt_entropy_grid(*inputs, taus)
+        workers = min(cpus, blocks, backend.MAX_WORKERS)
+        # one worker runs in the calling thread and starts no pool
+        assert pool_sizes == ([] if workers == 1 else [workers])
+    for cpus in (2, 64):
+        assert np.array_equal(results[cpus][0], results[1][0])
+        assert np.array_equal(results[cpus][1], results[1][1])
+
+
+def test_concurrent_callers_under_fast_thread_switching(monkeypatch):
+    # four callers with two workers each, switching threads every microsecond
+    report_cpus(monkeypatch, 64)
+    inputs = kernel_inputs(ModelSpec(24, 12))
+    grids = [np.random.default_rng(seed).uniform(-20.0, 20.0, 3 * BLOCK + 1) for seed in range(4)]
+    expected = [backend.schmidt_entropy_grid(*inputs, taus) for taus in grids]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(len(grids)) as callers:
+            futures = [callers.submit(backend.schmidt_entropy_grid, *inputs, t) for t in grids]
+            results = [future.result(timeout=60) for future in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    for (probs, entropies), (want_probs, want_entropies) in zip(results, expected):
+        assert np.array_equal(probs, want_probs)
+        assert np.array_equal(entropies, want_entropies)
+
+
+def test_cpu_count_fallback(monkeypatch, pool_sizes):
+    inputs = kernel_inputs(ModelSpec(9, 4))
+    taus = np.random.default_rng(4).uniform(-20.0, 20.0, 2 * BLOCK + 5)
+    report_cpus(monkeypatch, 1)
+    expected = backend.schmidt_entropy_grid(*inputs, taus)
+    monkeypatch.delattr(os, "sched_getaffinity")
+    asked = []
+
+    def cpu_count():
+        asked.append(True)
+        return 2
+
+    monkeypatch.setattr(os, "cpu_count", cpu_count)
+    probs, entropies = backend.schmidt_entropy_grid(*inputs, taus)
+    assert asked
+    assert pool_sizes == [2]
+    assert np.array_equal(probs, expected[0])
+    assert np.array_equal(entropies, expected[1])
+
+
+def test_worker_exception_raised_in_caller(monkeypatch, pool_sizes):
+    report_cpus(monkeypatch, 2)
+    coeffs, phases, degeneracy = kernel_inputs(ModelSpec(9, 4))
+    malformed = np.ones((coeffs.shape[0] + 1, coeffs.shape[1]))
+    taus = np.linspace(0.0, 1.0, 3 * BLOCK)
+    with pytest.raises(ValueError):
+        backend.schmidt_entropy_grid(malformed, phases, degeneracy, taus)
+    assert pool_sizes == [2]
+
+
+def test_overflow_in_worker_is_silent_and_rejected(monkeypatch, pool_sizes):
+    # numpy's error state is per thread: each worker must set its own
+    report_cpus(monkeypatch, 2)
+    taus = np.linspace(0.0, 1.0, 2 * BLOCK + 1)
+    taus[[10, -10]] = 1e308
+    with warnings.catch_warnings(), pytest.raises(NormalizationError):
+        warnings.simplefilter("error")
+        entropy_grid(ModelSpec(9, 4), taus)
+    assert pool_sizes == [2]
 
 
 @pytest.mark.parametrize("length", [BLOCK + 1, 2 * BLOCK + 1])

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spinvdw import entanglement, evolution, oracle
+from spinvdw import combinatorics, entanglement, evolution, oracle
+from spinvdw.combinatorics import b_table
 from spinvdw.model import ModelSpec
 from spinvdw.oracle import (
     BudgetExceededError,
@@ -423,6 +424,21 @@ class TestVerifyClosedForm:
         rng = np.random.default_rng(6)
         report = verify_closed_form(ModelSpec(7, 5), rng.uniform(0, 4 * math.pi, 16))
         assert report.passed
+
+    def test_exact_table_built_once(self, monkeypatch):
+        built = []
+
+        def counted(spec):
+            built.append(spec)
+            return b_table(spec)
+
+        # verify may look the table up in either module
+        monkeypatch.setattr(combinatorics, "b_table", counted)
+        monkeypatch.setattr(entanglement, "b_table", counted)
+        entanglement.exact_table.cache_clear()
+        entanglement.kernel_inputs.cache_clear()
+        assert verify_closed_form(ModelSpec(8, 3), [0.0, 0.4, 1.3]).passed
+        assert built == [ModelSpec(8, 3)]
 
     @pytest.mark.parametrize(
         "samples", [[0.3, math.nan], [math.inf], [0.3, -math.inf], []], ids=str
