@@ -25,8 +25,9 @@ NORMALIZATION_TOLERANCE = 1e-9
 # Specs whose kernel data stay cached; a maxima scan reuses one spec at a time.
 KERNEL_CACHE_SIZE = 256
 
-# Points of each zoom grid in the maxima refinement, and the bracket width
-# at which the zooming stops.
+# Intervals of the maxima scan's first grid over one period, points of each
+# zoom grid in its refinement, and the bracket width at which zooming stops.
+SCAN_GRID_POINTS = 2048
 ZOOM_POINTS = 65
 ZOOM_TOLERANCE = 1e-10
 
@@ -217,18 +218,16 @@ def critical_times_m1(spec: ModelSpec) -> CriticalTimes:
     return CriticalTimes(spec, None, t_double_prime, None, e_double_prime)
 
 
-def magic_number_scan(n_max: int, *, grid_points: int = 2048) -> list[ScanRow]:
+def magic_number_scan(n_max: int) -> list[ScanRow]:
     """Maximum entanglement per system size N = 2..n_max for M = 1.
 
     The analytic maximum (best of the tau'/tau'' candidates) is cross-checked
-    against a dense grid of ``grid_points`` intervals over one period,
+    against a dense grid of ``SCAN_GRID_POINTS`` intervals over one period,
     refined by zoom grids; a disagreement beyond 1e-8 ebits raises
     ArithmeticError.
     """
     if n_max < 2:
         raise ValueError(f"n_max must be >= 2, got {n_max}")
-    if grid_points < 1:
-        raise ValueError(f"grid_points must be >= 1, got {grid_points}")
     rows = []
     for n in range(2, n_max + 1):
         spec = ModelSpec(n, 1)
@@ -237,7 +236,7 @@ def magic_number_scan(n_max: int, *, grid_points: int = 2048) -> list[ScanRow]:
             best, argmax = 1.0, crit.t_prime
         else:
             best, argmax = crit.e_at_t_double_prime, crit.t_double_prime
-        grid_max, grid_argmax = _refined_grid_max(spec, grid_points)
+        grid_max, grid_argmax = _refined_grid_max(spec)
         if abs(grid_max - best) > 1e-8:
             raise ArithmeticError(
                 f"grid maximizer disagrees with analytic maximum for N={n}: "
@@ -249,7 +248,7 @@ def magic_number_scan(n_max: int, *, grid_points: int = 2048) -> list[ScanRow]:
     return rows
 
 
-def _refined_grid_max(spec: ModelSpec, grid_points: int) -> tuple[float, float]:
+def _refined_grid_max(spec: ModelSpec) -> tuple[float, float]:
     """Dense-grid maximum over one period, sharpened by zoom grids.
 
     Each step brackets the grid argmax by its two neighbours and evaluates
@@ -258,7 +257,7 @@ def _refined_grid_max(spec: ModelSpec, grid_points: int) -> tuple[float, float]:
     final bracket midpoint, and that midpoint.
     """
     period = 2.0 * math.pi / spec.n_total
-    taus = np.linspace(0.0, period, grid_points + 1)
+    taus = np.linspace(0.0, period, SCAN_GRID_POINTS + 1)
     while True:
         _, entropies = entropy_grid(spec, taus)
         peak = int(np.argmax(entropies))

@@ -30,6 +30,8 @@ PALETTE = (
     "#7f7f7f",
 )
 
+_WIDTH = 760
+_HEIGHT = 480
 _MARGIN_LEFT = 64
 _MARGIN_RIGHT = 150
 _MARGIN_TOP = 34
@@ -37,7 +39,7 @@ _MARGIN_BOTTOM = 48
 _TICKS = 5
 
 
-def line_plot(series, *, title="", x_label="", y_label="", width=760, height=480) -> str:
+def line_plot(series, *, title="", x_label="", y_label="") -> str:
     """Render ``series`` (an iterable of (label, xs, ys)) as an SVG string.
 
     Raises ``ValueError`` when there is no series, when a series is empty,
@@ -63,8 +65,8 @@ def line_plot(series, *, title="", x_label="", y_label="", width=760, height=480
     if not (math.isfinite(x_hi - x_lo) and math.isfinite(y_hi - y_lo)):
         raise ValueError("the x or y range is too wide to draw")
 
-    plot_w = width - _MARGIN_LEFT - _MARGIN_RIGHT
-    plot_h = height - _MARGIN_TOP - _MARGIN_BOTTOM
+    plot_w = _WIDTH - _MARGIN_LEFT - _MARGIN_RIGHT
+    plot_h = _HEIGHT - _MARGIN_TOP - _MARGIN_BOTTOM
 
     def to_px(x, y):
         """Pixel coordinates of a point, or elementwise of arrays of points."""
@@ -74,13 +76,13 @@ def line_plot(series, *, title="", x_label="", y_label="", width=760, height=480
 
     parts = [
         '<?xml version="1.0" encoding="UTF-8"?>',
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}">',
-        f'<rect x="0" y="0" width="{width}" height="{height}" fill="#ffffff"/>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{_HEIGHT}" '
+        f'viewBox="0 0 {_WIDTH} {_HEIGHT}">',
+        f'<rect x="0" y="0" width="{_WIDTH}" height="{_HEIGHT}" fill="#ffffff"/>',
     ]
     if title:
         parts.append(
-            f'<text x="{width / 2:.1f}" y="20" text-anchor="middle" '
+            f'<text x="{_WIDTH / 2:.1f}" y="20" text-anchor="middle" '
             f'font-family="sans-serif" font-size="14">{escape(title)}</text>'
         )
 
@@ -110,7 +112,7 @@ def line_plot(series, *, title="", x_label="", y_label="", width=760, height=480
         )
     if x_label:
         parts.append(
-            f'<text x="{x0 + plot_w / 2:.1f}" y="{height - 8}" text-anchor="middle" '
+            f'<text x="{x0 + plot_w / 2:.1f}" y="{_HEIGHT - 8}" text-anchor="middle" '
             f'font-family="sans-serif" font-size="12">{escape(x_label)}</text>'
         )
     if y_label:

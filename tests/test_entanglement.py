@@ -309,8 +309,3 @@ class TestMagicNumberScan:
     def test_small_n_max_rejected(self):
         with pytest.raises(ValueError):
             magic_number_scan(1)
-
-    @pytest.mark.parametrize("grid_points", [0, -3])
-    def test_grid_points_below_one_rejected(self, grid_points):
-        with pytest.raises(ValueError, match=f"got {grid_points}"):
-            magic_number_scan(7, grid_points=grid_points)

@@ -132,8 +132,10 @@ class TestKrylovPropagate:
         h = SectorHamiltonian(basis, raw + raw.T)
         assert np.min(np.diff(h.eigensystem()[0])) > 1e-6
         psi = _random_sector_state(7, 3, seed=5)
-        vectors, theta, rotation = oracle._krylov_spectrum(h.matrix, psi.amplitudes)
+        start = psi.amplitudes.real / np.linalg.norm(psi.amplitudes.real)
+        vectors, theta, rotation = oracle._krylov_spectrum(h.matrix, start)
         assert vectors.shape == (35, 35) and theta.shape == (35,)
+        assert vectors.dtype == np.float64
         for tau in (0.0, 0.37, 2.9, 11.5):
             evolved = propagate(h, psi, tau).amplitudes
             assert np.max(np.abs(evolved - _spectral_reference(h, psi.amplitudes, tau))) < 1e-12
@@ -157,9 +159,10 @@ class TestKrylovPropagate:
         # sector, so the product state's cyclic subspace closes that early
         h = build_sector_hamiltonian(n, m)
         vectors, theta, rotation = oracle._krylov_spectrum(
-            h.matrix, initial_sector_state(n, m).amplitudes
+            h.matrix, initial_sector_state(n, m).amplitudes.real
         )
         assert vectors.shape[0] == theta.size == dimension
+        assert vectors.dtype == np.float64
 
     @pytest.mark.parametrize("tau", [math.nan, math.inf, -math.inf])
     def test_non_finite_tau_rejected(self, tau):
@@ -180,14 +183,26 @@ class TestKrylovPropagate:
         assert evolved.shape == (len(basis.states),)
         assert not evolved.any()
 
-    def test_tau_array_gives_one_row_per_time(self):
+    def test_tau_array_gives_one_row_per_time(self, monkeypatch):
         h = build_sector_hamiltonian(9, 4)
         psi = _random_sector_state(9, 4, seed=31)
+        calls = []
+        krylov = oracle._krylov_spectrum
+        monkeypatch.setattr(oracle, "_krylov_spectrum", lambda *a: calls.append(a) or krylov(*a))
         taus = np.array([0.0, 0.37, 2.9, 11.5, -4.2])
-        evolved = propagate(h, psi, taus).amplitudes
-        assert evolved.shape == (taus.size, len(psi.basis.states))
-        for tau, row in zip(taus, evolved):
-            assert np.max(np.abs(row - _spectral_reference(h, psi.amplitudes, tau))) < 1e-12
+        # a real-only or imaginary-only start skips one of the two real passes
+        for amplitudes, passes in (
+            (psi.amplitudes, 2),
+            (psi.amplitudes.real + 0j, 1),
+            (1j * psi.amplitudes.imag, 1),
+        ):
+            calls.clear()
+            start = SectorState(psi.basis, amplitudes)
+            evolved = propagate(h, start, taus).amplitudes
+            assert len(calls) == passes
+            assert evolved.shape == (taus.size, len(psi.basis.states))
+            for tau, row in zip(taus, evolved):
+                assert np.max(np.abs(row - _spectral_reference(h, amplitudes, tau))) < 1e-12
 
     def test_zero_start_with_tau_array_stays_zero(self):
         basis = sector_basis(5, 2)
