@@ -7,8 +7,8 @@ the basis of symmetric (Dicke) products divided by sqrt(C(M,m) C(N-M,m)).
 binomial sum instead, so the two are independent exact references for each
 other.  In floating point the alternating sum cancels catastrophically
 already for moderate system sizes, so everything here stays in exact
-``Fraction`` arithmetic; rounding to float64 happens once, at the
-amplitude-evaluation boundary.
+``Fraction`` and integer arithmetic; a table rounds its data to float64
+once, into the read-only ``array``, ``phases`` and ``degeneracy``.
 """
 
 from __future__ import annotations
@@ -62,11 +62,24 @@ class BCoefficientTable:
 
     @cached_property
     def array(self) -> np.ndarray:
-        """Entries rounded to float64 (the only lossy step of the pipeline),
-        once per table; the array is read-only."""
-        array = np.array([[float(v) for v in row] for row in self.entries])
-        array.flags.writeable = False
-        return array
+        """Entries rounded to float64."""
+        return _read_only([[float(v) for v in row] for row in self.entries])
+
+    @cached_property
+    def phases(self) -> np.ndarray:
+        """:func:`mode_frequencies` as float64, exact: they lie far below 2^53."""
+        return _read_only(mode_frequencies(self.spec))
+
+    @cached_property
+    def degeneracy(self) -> np.ndarray:
+        """:func:`schmidt_multiplicities` as float64, exact up to 2^53."""
+        return _read_only(schmidt_multiplicities(self.spec))
+
+
+def _read_only(values) -> np.ndarray:
+    array = np.array(values, dtype=float)
+    array.flags.writeable = False
+    return array
 
 
 def b_coefficient(spec: ModelSpec, m: int, n: int) -> Fraction:

@@ -15,15 +15,12 @@ import numpy as np
 
 from . import backend
 from .backend import ZERO_CUTOFF
-from .combinatorics import BCoefficientTable, b_table, mode_frequencies, schmidt_multiplicities
+from .combinatorics import BCoefficientTable, b_table, schmidt_multiplicities
 from .evolution import AmplitudeVector
 from .model import ModelSpec
 
 # Integrity threshold on |sum(P) - 1| before a spectrum is rejected.
 NORMALIZATION_TOLERANCE = 1e-9
-
-# Specs whose kernel data stay cached; a maxima scan reuses one spec at a time.
-KERNEL_CACHE_SIZE = 256
 
 # Intervals of the maxima scan's first grid over one period, points of each
 # zoom grid in its refinement, and the bracket width at which zooming stops.
@@ -106,28 +103,14 @@ def entropy(spectrum) -> float:
 
 @functools.lru_cache(maxsize=1)
 def exact_table(spec: ModelSpec) -> BCoefficientTable:
-    """The exact mixing table of one spec.
+    """The exact mixing table of one spec, with the kernel's float data.
 
-    The last table is kept, so a caller that needs both the table and
-    :func:`kernel_inputs` for a spec (the closed-form check) builds it once.
+    One entry serves each caller's run of calls on one spec: the maxima scan
+    makes about 6 kernel calls per spec (199 specs), verify a table and one
+    kernel call per sector (54), the grid benchmark two tau sets per spec (3).
+    ``figures`` asks for M = 1 at N = 2..8, 2..10, 2..30: 16 rebuilds, ~50 us each.
     """
     return b_table(spec)
-
-
-@functools.lru_cache(maxsize=KERNEL_CACHE_SIZE)
-def kernel_inputs(spec: ModelSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The kernel's ``(coeffs, phases, degeneracy)`` for one spec.
-
-    Contiguous read-only float64 arrays, built once per spec: the exact
-    mixing table rounded to float, the integer frequencies and the Schmidt
-    multiplicities.
-    """
-    phases, degeneracy = (
-        np.array(values, dtype=float)
-        for values in (mode_frequencies(spec), schmidt_multiplicities(spec))
-    )
-    phases.flags.writeable = degeneracy.flags.writeable = False
-    return exact_table(spec).array, phases, degeneracy
 
 
 def entropy_grid(spec: ModelSpec, tau_grid) -> tuple[np.ndarray, np.ndarray]:
@@ -142,7 +125,10 @@ def entropy_grid(spec: ModelSpec, tau_grid) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError("tau grid must be a non-empty 1-d array")
     if not np.isfinite(taus).all():
         raise ValueError("tau grid must hold finite times only")
-    probs, entropies = backend.schmidt_entropy_grid(*kernel_inputs(spec), taus)
+    table = exact_table(spec)
+    probs, entropies = backend.schmidt_entropy_grid(
+        table.array, table.phases, table.degeneracy, taus
+    )
     drift = float(np.max(np.abs(probs.sum(axis=1) - 1.0)))
     if not drift <= NORMALIZATION_TOLERANCE:  # NaN fails too
         raise NormalizationError(f"normalization drift {drift!r} on tau grid")

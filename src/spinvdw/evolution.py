@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .combinatorics import BCoefficientTable, mode_frequencies
+from .combinatorics import BCoefficientTable
 from .model import ModelSpec
 
 
@@ -26,8 +26,7 @@ class AmplitudeVector:
 
 
 def amplitudes_at(spec: ModelSpec, table: BCoefficientTable, tau: float) -> AmplitudeVector:
-    """Amplitudes C_m(tau) = sum_n b[m][n] exp(i phi_n tau), with phi_n the
-    integer :func:`~spinvdw.combinatorics.mode_frequencies`.
+    """Amplitudes C_m(tau) = sum_n b[m][n] exp(i phi_n tau), phi_n = ``table.phases``.
 
     Raises ValueError for a non-finite tau.
     """
@@ -40,6 +39,6 @@ def amplitudes_at(spec: ModelSpec, table: BCoefficientTable, tau: float) -> Ampl
         raise ValueError(f"tau must be finite, got {tau!r}")
     # an overflowing phase gives NaN amplitudes, which schmidt_spectrum rejects
     with np.errstate(over="ignore", invalid="ignore"):
-        angles = np.array(mode_frequencies(spec), dtype=np.int64) * tau
+        angles = table.phases * tau
         oscillation = np.cos(angles) + 1j * np.sin(angles)
     return AmplitudeVector(spec, tau, table.array @ oscillation)

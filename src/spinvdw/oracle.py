@@ -39,7 +39,7 @@ from .model import ModelSpec
 SECTOR_SITE_BUDGET = 14
 FULL_SPACE_SITE_BUDGET = 8
 # Lanczos stops once its residual falls below this fraction of the matrix's
-# largest absolute row sum, a bound on the spectral radius.
+# Frobenius norm, a bound on the spectral radius.
 KRYLOV_BREAKDOWN = 1e-13
 
 
@@ -128,12 +128,11 @@ def _krylov_spectrum(matrix: np.ndarray, start: np.ndarray) -> tuple:
 
     Each new vector is orthogonalized twice against all earlier ones
     (classical Gram-Schmidt).  The loop ends when the residual norm beta
-    drops below ``KRYLOV_BREAKDOWN`` times the largest absolute row sum, so
-    the subspace is invariant to rounding, or when it spans the whole space.
+    drops below ``KRYLOV_BREAKDOWN`` times the Frobenius norm of ``matrix``,
+    so the subspace is invariant to rounding, or when it spans the whole space.
     """
     dim = matrix.shape[0]
-    # row by row, so no d x d temporary
-    threshold = KRYLOV_BREAKDOWN * float(max(np.abs(row).sum() for row in matrix))
+    threshold = KRYLOV_BREAKDOWN * float(np.linalg.norm(matrix))
     vectors, alphas, betas = [start], [], []
     while True:
         subspace = np.array(vectors)
@@ -350,9 +349,11 @@ def full_space_propagate(n_total: int, m_excited: int, tau) -> np.ndarray:
     """Evolve the initial product state on the full 2^N space.
 
     ``tau`` is a scalar or a 1-d array of times; one ``eigh`` of the 2^N
-    Hamiltonian serves them all, and the amplitudes have shape
-    ``tau.shape + (2^N,)``.  Raises ValueError for a non-finite tau.
+    Hamiltonian serves them all; the amplitudes have shape ``tau.shape + (2^N,)``.
+    Raises ValueError for a non-finite tau or an ``m_excited`` outside 0..n_total.
     """
+    if not 0 <= m_excited <= n_total:
+        raise ValueError(f"m_excited must lie in 0..{n_total}, got {m_excited}")
     taus = np.asarray(tau, dtype=float)
     if not np.isfinite(taus).all():
         raise ValueError(f"tau must be finite, got {tau!r}")

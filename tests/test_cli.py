@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import math
 import os
 import subprocess
@@ -181,6 +182,14 @@ class TestMaxima:
             assert row[1] != ""
         assert rows[5][1] == ""  # no unit-entanglement root at N = 7
         assert abs(float(rows[5][3]) - 0.9997) < 5e-5
+
+    def test_full_scan_bytes(self, tmp_path):
+        # every column is a math-module closed form; the grid only checks it
+        out = tmp_path / "maxima.csv"
+        assert main(["maxima", "--n-max", "200", "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "d2a95c278393d7996d044d1008ed936e87211fae7e9b21dc96d7491d623a030d"
+        )
 
     def test_two_site_critical_time_bytes(self, tmp_path):
         out = tmp_path / "maxima.csv"

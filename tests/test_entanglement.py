@@ -309,3 +309,23 @@ class TestMagicNumberScan:
     def test_small_n_max_rejected(self):
         with pytest.raises(ValueError):
             magic_number_scan(1)
+
+
+def test_one_entry_table_cache_serves_runs_of_one_spec(monkeypatch):
+    built = []
+
+    def counted(spec):
+        built.append(spec)
+        return b_table(spec)
+
+    monkeypatch.setattr(entanglement, "b_table", counted)
+    entanglement.exact_table.cache_clear()
+    magic_number_scan(30)
+    assert built == [ModelSpec(n, 1) for n in range(2, 31)]
+    built.clear()
+    taus = np.linspace(0.0, 3.0, 17)
+    specs = [ModelSpec(200, 1), ModelSpec(40, 20), ModelSpec(9, 4)]
+    for spec in specs:
+        for grid in (taus, taus[::-1]):
+            entropy_grid(spec, grid)
+    assert built == specs

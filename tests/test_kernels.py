@@ -11,16 +11,22 @@ import numpy as np
 import pytest
 
 from spinvdw import backend
-from spinvdw.combinatorics import b_table
-from spinvdw.entanglement import NormalizationError, entropy_grid, kernel_inputs
+from spinvdw.combinatorics import b_table, mode_frequencies, schmidt_multiplicities
+from spinvdw.entanglement import NormalizationError, entropy_grid, exact_table
 from spinvdw.evolution import amplitudes_at
 from spinvdw.model import ModelSpec
+
+
+def table_arrays(spec):
+    """The kernel's float data for one spec, as ``entropy_grid`` passes it."""
+    table = exact_table(spec)
+    return table.array, table.phases, table.degeneracy
 
 
 def test_kernel_matches_reference_amplitudes():
     spec = ModelSpec(6, 3)
     table = b_table(spec)
-    coeffs, phases, degeneracy = kernel_inputs(spec)
+    coeffs, phases, degeneracy = table.array, table.phases, table.degeneracy
     taus = np.array([0.0, 0.37, 2.11])
     probs, _ = backend.schmidt_entropy_grid(coeffs, phases, degeneracy, taus)
     for i, tau in enumerate(taus):
@@ -31,7 +37,7 @@ def test_kernel_matches_reference_amplitudes():
 
 def test_zero_probability_entropy_guard():
     spec = ModelSpec(4, 1)
-    coeffs, phases, degeneracy = kernel_inputs(spec)
+    coeffs, phases, degeneracy = table_arrays(spec)
     probs, entropies = backend.schmidt_entropy_grid(
         coeffs, phases, degeneracy, np.array([0.0])
     )
@@ -40,9 +46,11 @@ def test_zero_probability_entropy_guard():
     assert abs(probs[0, 0] - 1.0) < 1e-12
 
 
-def test_kernel_inputs_cached_and_read_only():
-    arrays = kernel_inputs(ModelSpec(6, 3))
-    assert kernel_inputs(ModelSpec(6, 3)) is arrays
+def test_table_float_data_cached_exact_and_read_only():
+    spec = ModelSpec(6, 3)
+    table = b_table(spec)
+    arrays = (table.array, table.phases, table.degeneracy)
+    assert all(a is b for a, b in zip(arrays, (table.array, table.phases, table.degeneracy)))
     assert [a.shape for a in arrays] == [(4, 4), (4,), (4,)]
     for array in arrays:
         assert array.dtype == np.float64
@@ -50,6 +58,9 @@ def test_kernel_inputs_cached_and_read_only():
         assert not array.flags.writeable
         with pytest.raises(ValueError):
             array[0] = 0.0
+    # float == int compares exactly in Python
+    assert table.phases.tolist() == list(mode_frequencies(spec))
+    assert table.degeneracy.tolist() == list(schmidt_multiplicities(spec))
 
 
 def _complex_reference(b, phases, degeneracy, taus):
@@ -67,7 +78,7 @@ BLOCK = backend.BLOCK_ROWS
 @pytest.mark.parametrize("length", [1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3])
 @pytest.mark.parametrize("n_total, m_excited", [(2, 1), (9, 4), (24, 12)])
 def test_block_boundaries_do_not_change_rows(n_total, m_excited, length):
-    inputs = kernel_inputs(ModelSpec(n_total, m_excited))
+    inputs = table_arrays(ModelSpec(n_total, m_excited))
     taus = np.random.default_rng(length).uniform(-20.0, 20.0, length)
     probs, entropies = backend.schmidt_entropy_grid(*inputs, taus)
     assert probs.shape == (length, inputs[1].size)
@@ -86,7 +97,7 @@ def test_block_boundaries_do_not_change_rows(n_total, m_excited, length):
 
 
 def _assert_memory_is_output_plus_block_buffers():
-    inputs = kernel_inputs(ModelSpec(40, 20))
+    inputs = table_arrays(ModelSpec(40, 20))
     taus = np.linspace(0.0, 10.0, 100_000)
     columns = inputs[1].size
     tracemalloc.start()
@@ -133,7 +144,7 @@ def test_memory_bound_holds_with_many_cpus(monkeypatch, pool_sizes):
 @pytest.mark.parametrize("length", [1, BLOCK, 3 * BLOCK + 1])
 @pytest.mark.parametrize("n_total, m_excited", [(24, 12), (80, 40)])
 def test_rows_do_not_depend_on_worker_count(monkeypatch, pool_sizes, n_total, m_excited, length):
-    inputs = kernel_inputs(ModelSpec(n_total, m_excited))
+    inputs = table_arrays(ModelSpec(n_total, m_excited))
     taus = np.random.default_rng(length).uniform(-20.0, 20.0, length)
     blocks = -(-length // BLOCK)
     results = {}
@@ -152,7 +163,7 @@ def test_rows_do_not_depend_on_worker_count(monkeypatch, pool_sizes, n_total, m_
 def test_concurrent_callers_under_fast_thread_switching(monkeypatch):
     # four callers with two workers each, switching threads every microsecond
     report_cpus(monkeypatch, 64)
-    inputs = kernel_inputs(ModelSpec(24, 12))
+    inputs = table_arrays(ModelSpec(24, 12))
     grids = [np.random.default_rng(seed).uniform(-20.0, 20.0, 3 * BLOCK + 1) for seed in range(4)]
     expected = [backend.schmidt_entropy_grid(*inputs, taus) for taus in grids]
     interval = sys.getswitchinterval()
@@ -169,7 +180,7 @@ def test_concurrent_callers_under_fast_thread_switching(monkeypatch):
 
 
 def test_cpu_count_fallback(monkeypatch, pool_sizes):
-    inputs = kernel_inputs(ModelSpec(9, 4))
+    inputs = table_arrays(ModelSpec(9, 4))
     taus = np.random.default_rng(4).uniform(-20.0, 20.0, 2 * BLOCK + 5)
     report_cpus(monkeypatch, 1)
     expected = backend.schmidt_entropy_grid(*inputs, taus)
@@ -190,7 +201,7 @@ def test_cpu_count_fallback(monkeypatch, pool_sizes):
 
 def test_worker_exception_raised_in_caller(monkeypatch, pool_sizes):
     report_cpus(monkeypatch, 2)
-    coeffs, phases, degeneracy = kernel_inputs(ModelSpec(9, 4))
+    coeffs, phases, degeneracy = table_arrays(ModelSpec(9, 4))
     malformed = np.ones((coeffs.shape[0] + 1, coeffs.shape[1]))
     taus = np.linspace(0.0, 1.0, 3 * BLOCK)
     with pytest.raises(ValueError):
@@ -214,7 +225,7 @@ def test_overflow_in_worker_is_silent_and_rejected(monkeypatch, pool_sizes):
 def test_no_short_trailing_block(n_total, m_excited, length):
     # With M'+1 >= 32 a block of a few rows can take a BLAS kernel that rounds
     # unlike the one a full block takes; equal blocks keep every block long.
-    inputs = kernel_inputs(ModelSpec(n_total, m_excited))
+    inputs = table_arrays(ModelSpec(n_total, m_excited))
     taus = np.random.default_rng(3).uniform(-20.0, 20.0, 3 * BLOCK)
     full_probs, full_entropies = backend.schmidt_entropy_grid(*inputs, taus)
     probs, entropies = backend.schmidt_entropy_grid(*inputs, taus[:length])

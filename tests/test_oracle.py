@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spinvdw import combinatorics, entanglement, evolution, oracle
+from spinvdw import combinatorics, entanglement, oracle
 from spinvdw.combinatorics import b_table
 from spinvdw.model import ModelSpec
 from spinvdw.oracle import (
@@ -451,7 +451,6 @@ class TestVerifyClosedForm:
         monkeypatch.setattr(combinatorics, "b_table", counted)
         monkeypatch.setattr(entanglement, "b_table", counted)
         entanglement.exact_table.cache_clear()
-        entanglement.kernel_inputs.cache_clear()
         assert verify_closed_form(ModelSpec(8, 3), [0.0, 0.4, 1.3]).passed
         assert built == [ModelSpec(8, 3)]
 
@@ -526,16 +525,21 @@ class TestVerifyClosedForm:
                 assert abs(oracle - analytic) < 1e-9
 
     def test_shifted_phase_is_caught(self, monkeypatch):
-        # shifts the reference path's frequencies only; the kernel's are cached
-        true_frequencies = evolution.mode_frequencies
-
+        # the top mode frequency of the table both closed-form paths read
         def shifted(spec):
-            *lower, top = true_frequencies(spec)
-            return (*lower, top + 1)
+            table = b_table(spec)
+            phases = table.phases.copy()
+            phases[-1] += 1.0
+            vars(table)["phases"] = phases  # fills the cached property
+            return table
 
-        monkeypatch.setattr(evolution, "mode_frequencies", shifted)
+        monkeypatch.setattr(entanglement, "b_table", shifted)
+        entanglement.exact_table.cache_clear()
         rng = np.random.default_rng(8)
-        assert not verify_closed_form(ModelSpec(8, 3), rng.uniform(0, 4 * math.pi, 16)).passed
+        try:
+            assert not verify_closed_form(ModelSpec(8, 3), rng.uniform(0, 4 * math.pi, 16)).passed
+        finally:
+            entanglement.exact_table.cache_clear()
 
     def test_extra_hop_is_caught(self, monkeypatch):
         true_build = oracle.build_sector_hamiltonian
@@ -589,6 +593,20 @@ class TestFullSpaceCrosscheck:
             full_space_propagate(n, 1, tau)
         with pytest.raises(ValueError, match="tau"):
             full_space_crosscheck(n, 1, tau)
+
+    @pytest.mark.parametrize("m", [5, -1])
+    def test_excitation_count_out_of_range_rejected(self, monkeypatch, m):
+        def no_eigh(matrix):
+            raise AssertionError("range check must come before eigh")
+
+        monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+        with pytest.raises(ValueError, match="m_excited"):
+            full_space_propagate(4, m, 0.3)
+        with pytest.raises(ValueError, match="m_excited"):
+            full_space_crosscheck(4, m, 0.3)
+
+    def test_fully_excited_state_is_stationary(self):
+        assert full_space_crosscheck(3, 3, 0.7) == 0.0
 
     def test_excitation_number_conserved(self):
         # full-space evolution must keep all weight in the initial sector
