@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spinvdw import combinatorics, entanglement, oracle
-from spinvdw.combinatorics import b_table
+from spinvdw import combinatorics, entanglement, evolution, oracle
+from spinvdw.combinatorics import BCoefficientTable, b_table
 from spinvdw.model import ModelSpec
 from spinvdw.oracle import (
     BudgetExceededError,
@@ -525,21 +525,19 @@ class TestVerifyClosedForm:
                 assert abs(oracle - analytic) < 1e-9
 
     def test_shifted_phase_is_caught(self, monkeypatch):
-        # the top mode frequency of the table both closed-form paths read
-        def shifted(spec):
-            table = b_table(spec)
+        # shifts the reference path's frequencies only; the kernel's table is untouched
+        true_amplitudes_at = evolution.amplitudes_at
+
+        def shifted(spec, table, tau):
+            copy = BCoefficientTable(spec, table.entries)
             phases = table.phases.copy()
             phases[-1] += 1.0
-            vars(table)["phases"] = phases  # fills the cached property
-            return table
+            vars(copy)["phases"] = phases  # fills the cached property
+            return true_amplitudes_at(spec, copy, tau)
 
-        monkeypatch.setattr(entanglement, "b_table", shifted)
-        entanglement.exact_table.cache_clear()
+        monkeypatch.setattr(evolution, "amplitudes_at", shifted)
         rng = np.random.default_rng(8)
-        try:
-            assert not verify_closed_form(ModelSpec(8, 3), rng.uniform(0, 4 * math.pi, 16)).passed
-        finally:
-            entanglement.exact_table.cache_clear()
+        assert not verify_closed_form(ModelSpec(8, 3), rng.uniform(0, 4 * math.pi, 16)).passed
 
     def test_extra_hop_is_caught(self, monkeypatch):
         true_build = oracle.build_sector_hamiltonian
