@@ -15,7 +15,7 @@ import numpy as np
 
 from . import backend
 from .backend import ZERO_CUTOFF
-from .combinatorics import BCoefficientTable, b_table, schmidt_multiplicities
+from .combinatorics import BCoefficientTable, b_table
 from .evolution import AmplitudeVector
 from .model import ModelSpec
 
@@ -39,10 +39,11 @@ class SingularTimeError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class SchmidtSpectrum:
-    """Probabilities P_m = C(M,m) C(N-M,m) |C_m|^2 at one time."""
+    """Probabilities P_m = C(M,m) C(N-M,m) |C_m|^2, shape (M'+1,) at one
+    time or (T, M'+1) at T times."""
 
     spec: ModelSpec
-    tau: float
+    tau: float | np.ndarray
     probabilities: np.ndarray
 
 
@@ -76,29 +77,28 @@ class ScanRow:
 
 
 def schmidt_spectrum(amps: AmplitudeVector) -> SchmidtSpectrum:
-    """Schmidt probabilities of an amplitude vector; enforces normalization."""
-    degeneracy = np.array(schmidt_multiplicities(amps.spec), dtype=float)
-    probs = degeneracy * np.abs(amps.amplitudes) ** 2
-    total = float(probs.sum())
-    if not abs(total - 1.0) <= NORMALIZATION_TOLERANCE:  # NaN fails too
-        raise NormalizationError(f"amplitudes are not normalized: sum(P) = {total!r}")
-    return SchmidtSpectrum(amps.spec, amps.tau, probs)
+    """Schmidt probabilities of an amplitude vector or stack of them, from
+    the table's ``degeneracy``; every row must be normalized."""
+    probs = amps.table.degeneracy * np.abs(amps.amplitudes) ** 2
+    drift = np.abs(probs.sum(axis=-1) - 1.0)
+    if not (drift <= NORMALIZATION_TOLERANCE).all():  # NaN fails too
+        raise NormalizationError(f"amplitudes are not normalized: |sum(P) - 1| = {np.max(drift)!r}")
+    return SchmidtSpectrum(amps.table.spec, amps.tau, probs)
 
 
-def entropy(spectrum) -> float:
-    """Base-2 Shannon entropy of a Schmidt spectrum, in ebits.
+def entropy(spectrum):
+    """Base-2 Shannon entropy of a Schmidt spectrum, in ebits, along the last
+    axis: a Python float for one spectrum, an array for a stack of them.
 
-    Accepts a :class:`SchmidtSpectrum` or a bare probability sequence;
-    0 * log 0 is taken as 0.  A NaN or infinite probability gives NaN.
+    Accepts a :class:`SchmidtSpectrum` or bare probabilities; 0 * log 0 is
+    taken as 0.  A spectrum with a NaN or infinite probability gives NaN.
     """
     probs = np.asarray(getattr(spectrum, "probabilities", spectrum), dtype=float)
-    if not np.isfinite(probs).all():
-        return math.nan
-    probs = probs[probs > ZERO_CUTOFF]
-    if probs.size == 0:
-        return 0.0
-    # nonnegative by definition; guard against p log p rounding at p ~ 1
-    return max(0.0, float(-(probs * np.log2(probs)).sum()))
+    positive = np.where(probs > ZERO_CUTOFF, probs, 1.0)  # log2(1) = 0 drops the rest
+    total = -(positive * np.log2(positive)).sum(axis=-1)
+    # nonnegative by definition: clips p log p rounding at p ~ 1, -0.0 included
+    total = np.where(np.isfinite(probs).all(axis=-1), np.where(total > 0.0, total, 0.0), np.nan)
+    return float(total) if total.ndim == 0 else total
 
 
 @functools.lru_cache(maxsize=1)

@@ -2,12 +2,12 @@
 
 The state stays in an (M'+1)-dimensional subspace spanned by products of
 fully symmetric A- and B-excitation states; each amplitude is a finite sum
-of integer-frequency oscillations weighted by the exact mixing table.
+of integer-frequency oscillations weighted by the exact mixing table.  One
+call evaluates one time or a 1-d array of times.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,27 +18,30 @@ from .model import ModelSpec
 
 @dataclass(frozen=True, eq=False)
 class AmplitudeVector:
-    """Closed-form amplitudes at one dimensionless time."""
+    """Closed-form amplitudes of shape (M'+1,) at one time, or (T, M'+1) at
+    T times, with the mixing table they came from."""
 
-    spec: ModelSpec
-    tau: float
+    table: BCoefficientTable
+    tau: float | np.ndarray
     amplitudes: np.ndarray
 
 
-def amplitudes_at(spec: ModelSpec, table: BCoefficientTable, tau: float) -> AmplitudeVector:
+def amplitudes_at(spec: ModelSpec, table: BCoefficientTable, tau) -> AmplitudeVector:
     """Amplitudes C_m(tau) = sum_n b[m][n] exp(i phi_n tau), phi_n = ``table.phases``.
 
-    Raises ValueError for a non-finite tau.
+    ``tau`` is a scalar or a 1-d array of times; the amplitudes have shape
+    ``tau.shape + (M'+1,)``.  Raises ValueError for a non-finite tau.
     """
     if table.spec != spec:
         raise ValueError(
             f"coefficient table was built for {table.spec}, not {spec}"
         )
-    tau = float(tau)
-    if not math.isfinite(tau):
-        raise ValueError(f"tau must be finite, got {tau!r}")
+    taus = np.asarray(tau, dtype=float)
+    if taus.ndim > 1 or not np.isfinite(taus).all():
+        raise ValueError(f"tau must be a finite scalar or 1-d array, got {tau!r}")
     # an overflowing phase gives NaN amplitudes, which schmidt_spectrum rejects
     with np.errstate(over="ignore", invalid="ignore"):
-        angles = table.phases * tau
+        angles = np.multiply.outer(taus, table.phases)
         oscillation = np.cos(angles) + 1j * np.sin(angles)
-    return AmplitudeVector(spec, tau, table.array @ oscillation)
+    tau = float(taus) if taus.ndim == 0 else taus
+    return AmplitudeVector(table, tau, oscillation @ table.array.T)

@@ -82,11 +82,15 @@ def sector_basis(n_total: int, excitation_count: int) -> SectorBasis:
         raise ValueError(
             f"excitation count must lie in 0..{n_total}, got {excitation_count}"
         )
-    patterns = sorted(
-        sum(1 << site for site in sites)
-        for sites in itertools.combinations(range(n_total), excitation_count)
-    )
-    return SectorBasis(n_total, excitation_count, tuple(patterns))
+    if n_total > 63:
+        raise BudgetExceededError(f"n_total = {n_total} exceeds the 63 sites of an int64 pattern")
+    # patterns[k]: the ascending k-excitation patterns of the sites seen so
+    # far; those with the new top site set all follow those without it
+    patterns = [np.zeros(1, dtype=np.int64)] + [np.zeros(0, dtype=np.int64)] * excitation_count
+    for site in range(n_total):
+        for k in range(min(site + 1, excitation_count), 0, -1):
+            patterns[k] = np.concatenate((patterns[k], patterns[k - 1] | (1 << site)))
+    return SectorBasis(n_total, excitation_count, tuple(patterns[excitation_count].tolist()))
 
 
 def build_sector_hamiltonian(n_total: int, excitations: int) -> SectorHamiltonian:
@@ -113,11 +117,10 @@ def build_sector_hamiltonian(n_total: int, excitations: int) -> SectorHamiltonia
     return SectorHamiltonian(basis, matrix)
 
 
-def initial_sector_state(n_total: int, m_excited: int) -> SectorState:
-    """Product state with the first ``m_excited`` sites excited."""
-    basis = sector_basis(n_total, m_excited)
+def initial_sector_state(basis: SectorBasis) -> SectorState:
+    """Product state with the first ``basis.excitation_count`` sites excited."""
     amplitudes = np.zeros(len(basis.states), dtype=complex)
-    amplitudes[0] = 1.0  # (1 << m_excited) - 1 is the smallest pattern
+    amplitudes[0] = 1.0  # (1 << count) - 1 is the smallest pattern
     return SectorState(basis, amplitudes)
 
 
@@ -276,11 +279,13 @@ def verify_closed_form(spec: ModelSpec, tau_samples) -> VerificationReport:
     """Compare closed-form Schmidt spectra and entropies against the dense
     pipeline at each sample time.
 
-    Both closed-form paths are checked: the reference path
-    (:func:`amplitudes_at`, one time at a time) and the kernel path
-    (:func:`entropy_grid`, all samples in one call).  The oracle evolves,
-    reduces and scores every sample in one :func:`propagate`, one
-    :func:`schmidt_eigenvalues` and one :func:`von_neumann_entropy` call.
+    Both closed-form paths are checked, each with all samples in one call:
+    the complex reference path (:func:`amplitudes_at`, :func:`schmidt_spectrum`,
+    :func:`entropy`) and the real, blocked kernel path (:func:`entropy_grid`).
+    The oracle builds the sector basis once, for the Hamiltonian and the
+    start state, and evolves, reduces and scores every sample in one
+    :func:`propagate`, one :func:`schmidt_eigenvalues` and one
+    :func:`von_neumann_entropy` call.
     Each closed-form spectrum is zero-padded to the oracle's spectrum length
     and compared with it in descending order.  Raises ValueError unless the
     samples are finite and non-empty; a NaN deviation fails the report.
@@ -291,26 +296,20 @@ def verify_closed_form(spec: ModelSpec, tau_samples) -> VerificationReport:
     taus = np.atleast_1d(np.asarray(tau_samples, dtype=float))
     if taus.size == 0 or not np.isfinite(taus).all():
         raise ValueError("tau samples must be finite and non-empty")
-    # the d x d hop matrix is freed before the Schmidt step's temporaries
-    evolved = propagate(
-        build_sector_hamiltonian(spec.n_total, spec.m_excited),
-        initial_sector_state(spec.n_total, spec.m_excited),
-        taus,
-    )
+    hamiltonian = build_sector_hamiltonian(spec.n_total, spec.m_excited)
+    evolved = propagate(hamiltonian, initial_sector_state(hamiltonian.basis), taus)
+    del hamiltonian  # the d x d hop matrix goes before the Schmidt step's temporaries
     oracle_eig = schmidt_eigenvalues(evolved, spec.m_excited)
     dense_entropies = von_neumann_entropy(oracle_eig)
     dense = np.zeros((taus.size, max(oracle_eig.shape[1], spec.m_prime + 1)))
     dense[:, : oracle_eig.shape[1]] = oracle_eig
     # built once: the kernel path below reads the same table
-    table = exact_table(spec)
-    spectra = [schmidt_spectrum(amplitudes_at(spec, table, tau)) for tau in taus]
-    reference_probs = np.array([spectrum.probabilities for spectrum in spectra])
-    reference_entropies = np.array([entropy(spectrum) for spectrum in spectra])
+    reference = schmidt_spectrum(amplitudes_at(spec, exact_table(spec), taus))
     kernel_probs, kernel_entropies = entropy_grid(spec, taus)
     spectrum_deviations = []
     entropy_deviations = []
     for probs, entropies in (
-        (reference_probs, reference_entropies),
+        (reference.probabilities, entropy(reference)),
         (kernel_probs, kernel_entropies),
     ):
         closed = np.zeros_like(dense)
@@ -373,11 +372,8 @@ def full_space_crosscheck(n_total: int, m_excited: int, tau) -> float:
     the full space.
     """
     full = full_space_propagate(n_total, m_excited, tau)
-    sector = propagate(
-        build_sector_hamiltonian(n_total, m_excited),
-        initial_sector_state(n_total, m_excited),
-        tau,
-    )
+    hamiltonian = build_sector_hamiltonian(n_total, m_excited)
+    sector = propagate(hamiltonian, initial_sector_state(hamiltonian.basis), tau)
     embedded = np.zeros_like(full)
     embedded[..., list(sector.basis.states)] = sector.amplitudes
     return float(np.max(np.abs(full - embedded)))

@@ -250,6 +250,17 @@ class TestFigures:
         for name in ("fig1.csv", "fig2.csv", "fig3.csv", "fig1.svg", "fig2.svg", "fig3.svg"):
             assert (fig_dir / name).exists()
 
+    def test_family3_bytes(self, fig_dir):
+        # every value is a math-module closed form, as in the maxima scan
+        digests = {
+            name: hashlib.sha256((fig_dir / name).read_bytes()).hexdigest()
+            for name in ("fig3.csv", "fig3.svg")
+        }
+        assert digests == {
+            "fig3.csv": "65decee96f79564da9ef8384bc5cb58cdd53a92630ea99adffa7ea4203a71f92",
+            "fig3.svg": "d172933dab712cf2bf26eee6d4a3662e9b915e82742013205a55afe47e0d3f73",
+        }
+
     def test_family3_values(self, fig_dir):
         header, rows = read_csv(fig_dir / "fig3.csv")
         assert header == ["n", "max_entropy"]
@@ -385,3 +396,13 @@ class TestModuleEntryPoint:
         proc = run_module(cwd=tmp_path)
         assert proc.returncode == 2
         assert "usage:" in proc.stderr
+
+    def test_start_up_skips_the_url_stack(self, tmp_path):
+        # urllib.request alone costs tens of milliseconds on every command
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys, spinvdw.cli; print('urllib.request' in sys.modules)"],
+            capture_output=True, text=True, env=env, cwd=tmp_path,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "False\n"

@@ -57,9 +57,33 @@ class TestSchmidtSpectrum:
 
     def test_unnormalized_input_rejected(self):
         spec = ModelSpec(2, 1)
-        bad = AmplitudeVector(spec, 0.0, np.array([0.9, 0.1], dtype=complex))
+        bad = AmplitudeVector(b_table(spec), 0.0, np.array([0.9, 0.1], dtype=complex))
         with pytest.raises(NormalizationError):
             schmidt_spectrum(bad)
+
+    def test_stack_rows_match_single_spectra(self):
+        spec = ModelSpec(9, 4)
+        table = b_table(spec)
+        taus = np.linspace(0.0, 3.0, 7)
+        stacked = schmidt_spectrum(amplitudes_at(spec, table, taus))
+        assert stacked.probabilities.shape == (7, spec.m_prime + 1)
+        for tau, row in zip(taus, stacked.probabilities):
+            single = schmidt_spectrum(amplitudes_at(spec, table, tau)).probabilities
+            assert np.max(np.abs(single - row)) <= 1e-15
+
+    @pytest.mark.parametrize("row", [0, 3, 6])
+    @pytest.mark.parametrize("fault", ["drift", "nan"])
+    def test_stack_with_one_bad_row_rejected(self, row, fault):
+        spec = ModelSpec(9, 4)
+        table = b_table(spec)
+        taus = np.linspace(0.0, 3.0, 7)
+        amplitudes = amplitudes_at(spec, table, taus).amplitudes.copy()
+        if fault == "drift":
+            amplitudes[row] *= 1.0 + 1e-8  # sum(P) drifts by 2e-8
+        else:
+            amplitudes[row, 1] = math.nan
+        with pytest.raises(NormalizationError):
+            schmidt_spectrum(AmplitudeVector(table, taus, amplitudes))
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_nan_amplitudes_rejected(self):
@@ -92,6 +116,19 @@ class TestEntropy:
     )
     def test_nan_probability_gives_nan(self, probs):
         assert math.isnan(entropy(probs))
+
+
+    def test_stack_is_nan_only_in_non_finite_rows(self):
+        rows = np.array(
+            [[0.5, 0.5], [math.nan, 0.5], [1.0, 0.0], [math.inf, 0.0], [0.25, 0.75], [0.0, 0.0]]
+        )
+        values = entropy(rows)
+        assert values.shape == (6,)
+        assert np.isnan(values).tolist() == [False, True, False, True, False, False]
+        for row, value in zip(rows, values):
+            single = entropy(row)
+            assert isinstance(single, float)
+            assert single == value or (math.isnan(single) and math.isnan(value))
 
 
 class TestEntropySeries:

@@ -77,7 +77,11 @@ class TestAmplitudesAt:
         with pytest.raises(ValueError):
             amplitudes_at(ModelSpec(5, 2), b_table(ModelSpec(4, 2)), 0.1)
 
-    @pytest.mark.parametrize("tau", [math.nan, math.inf, -math.inf], ids=str)
+    @pytest.mark.parametrize(
+        "tau",
+        [math.nan, math.inf, -math.inf, np.array([0.1, math.nan]), np.array([math.inf, 0.2])],
+        ids=str,
+    )
     def test_non_finite_tau_rejected(self, tau):
         spec = ModelSpec(4, 1)
         with pytest.raises(ValueError):
@@ -100,6 +104,25 @@ class TestAmplitudesAt:
             return
         amps = amplitudes_at(spec, table, tau).amplitudes
         assert abs(weighted_norm(spec, amps) - 1.0) <= 1e-12
+
+    @pytest.mark.parametrize("n,m", [(2, 1), (7, 1), (8, 3), (13, 6), (5, 5)])
+    def test_stacked_rows_match_scalar_calls(self, n, m):
+        spec = ModelSpec(n, m)
+        table = b_table(spec)
+        taus = np.random.default_rng(n).uniform(-4.0 * math.pi, 4.0 * math.pi, 9)
+        stacked = amplitudes_at(spec, table, taus)
+        assert stacked.amplitudes.shape == (9, spec.m_prime + 1)
+        assert np.array_equal(stacked.tau, taus)
+        for tau, row in zip(taus, stacked.amplitudes):
+            single = amplitudes_at(spec, table, tau)
+            assert single.amplitudes.shape == (spec.m_prime + 1,)
+            assert isinstance(single.tau, float)
+            assert np.max(np.abs(single.amplitudes - row)) <= 1e-15
+
+    def test_two_dimensional_tau_rejected(self):
+        spec = ModelSpec(4, 2)
+        with pytest.raises(ValueError, match="1-d"):
+            amplitudes_at(spec, b_table(spec), np.array([[0.1, 0.2]]))
 
     def test_single_excitation_periodicity(self):
         rng = np.random.default_rng(3)

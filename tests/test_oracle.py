@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -34,6 +35,21 @@ class TestSectorBasis:
 
     def test_vacuum(self):
         assert sector_basis(3, 0).states == (0,)
+
+    def test_int64_pattern_width_is_the_limit(self):
+        assert sector_basis(63, 1).states[-1] == 1 << 62
+        with pytest.raises(BudgetExceededError, match="63 sites"):
+            sector_basis(64, 1)
+
+    def test_matches_sorted_combinations(self):
+        for n in range(15):
+            for k in range(n + 1):
+                reference = tuple(
+                    sorted(sum(1 << site for site in sites) for sites in combinations(range(n), k))
+                )
+                states = sector_basis(n, k).states
+                assert states == reference
+                assert all(type(state) is int for state in states)
 
 
 class TestSectorHamiltonian:
@@ -74,19 +90,19 @@ class TestSectorHamiltonian:
 class TestPropagate:
     def test_two_site_rabi_quarter(self):
         h = build_sector_hamiltonian(2, 1)
-        state = propagate(h, initial_sector_state(2, 1), math.pi / 4)
+        state = propagate(h, initial_sector_state(sector_basis(2, 1)), math.pi / 4)
         expected = np.array([math.cos(math.pi / 4), -1j * math.sin(math.pi / 4)])
         assert np.max(np.abs(state.amplitudes - expected)) < 1e-14
 
     def test_zero_time_is_identity(self):
         h = build_sector_hamiltonian(5, 2)
-        psi0 = initial_sector_state(5, 2)
+        psi0 = initial_sector_state(sector_basis(5, 2))
         state = propagate(h, psi0, 0.0)
         assert np.max(np.abs(state.amplitudes - psi0.amplitudes)) < 1e-14
 
     def test_two_site_complete_transfer(self):
         h = build_sector_hamiltonian(2, 1)
-        state = propagate(h, initial_sector_state(2, 1), math.pi / 2)
+        state = propagate(h, initial_sector_state(sector_basis(2, 1)), math.pi / 2)
         assert abs(state.amplitudes[0]) < 1e-14
         assert abs(abs(state.amplitudes[1]) - 1.0) < 1e-14
 
@@ -95,14 +111,14 @@ class TestPropagate:
         for n in range(2, 11):
             m = int(rng.integers(0, n + 1))
             h = build_sector_hamiltonian(n, m)
-            psi0 = initial_sector_state(n, m)
+            psi0 = initial_sector_state(sector_basis(n, m))
             for tau in rng.uniform(0.0, 4.0 * math.pi, 12):
                 state = propagate(h, psi0, tau)
                 assert abs(np.linalg.norm(state.amplitudes) - 1.0) < 1e-12
 
     def test_basis_mismatch(self):
         with pytest.raises(ValueError):
-            propagate(build_sector_hamiltonian(3, 1), initial_sector_state(3, 2), 0.1)
+            propagate(build_sector_hamiltonian(3, 1), initial_sector_state(sector_basis(3, 2)), 0.1)
 
     @pytest.mark.parametrize(
         "n,m,tau", [(2, 1, 0.4), (6, 3, 1.234), (9, 2, 5.0), (10, 7, 2.5)]
@@ -159,7 +175,7 @@ class TestKrylovPropagate:
         # sector, so the product state's cyclic subspace closes that early
         h = build_sector_hamiltonian(n, m)
         vectors, theta, rotation = oracle._krylov_spectrum(
-            h.matrix, initial_sector_state(n, m).amplitudes.real
+            h.matrix, initial_sector_state(sector_basis(n, m)).amplitudes.real
         )
         assert vectors.shape[0] == theta.size == dimension
         assert vectors.dtype == np.float64
@@ -167,11 +183,11 @@ class TestKrylovPropagate:
     @pytest.mark.parametrize("tau", [math.nan, math.inf, -math.inf])
     def test_non_finite_tau_rejected(self, tau):
         with pytest.raises(ValueError, match="tau"):
-            propagate(build_sector_hamiltonian(4, 2), initial_sector_state(4, 2), tau)
+            propagate(build_sector_hamiltonian(4, 2), initial_sector_state(sector_basis(4, 2)), tau)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, math.nan)])
     def test_non_finite_start_rejected(self, bad):
-        psi = initial_sector_state(5, 2)
+        psi = initial_sector_state(sector_basis(5, 2))
         psi.amplitudes[3] = bad
         with pytest.raises(ValueError, match="non-finite"):
             propagate(build_sector_hamiltonian(5, 2), psi, 0.5)
@@ -214,7 +230,7 @@ class TestKrylovPropagate:
     def test_tau_array_with_nan_rejected(self):
         taus = np.array([0.1, 0.5, math.nan, 2.0])
         with pytest.raises(ValueError, match="tau"):
-            propagate(build_sector_hamiltonian(4, 2), initial_sector_state(4, 2), taus)
+            propagate(build_sector_hamiltonian(4, 2), initial_sector_state(sector_basis(4, 2)), taus)
 
 
 class TestReducedDensity:
@@ -222,18 +238,18 @@ class TestReducedDensity:
 
     def test_bell_like_state(self):
         h = build_sector_hamiltonian(2, 1)
-        state = propagate(h, initial_sector_state(2, 1), math.pi / 4)
+        state = propagate(h, initial_sector_state(sector_basis(2, 1)), math.pi / 4)
         eigenvalues = schmidt_eigenvalues(state, 1)
         assert np.max(np.abs(eigenvalues - 0.5)) < 1e-14
 
     def test_product_state(self):
-        eigenvalues = schmidt_eigenvalues(initial_sector_state(4, 2), 2)
+        eigenvalues = schmidt_eigenvalues(initial_sector_state(sector_basis(4, 2)), 2)
         assert abs(eigenvalues[0] - 1.0) < 1e-14
         assert np.max(np.abs(eigenvalues[1:])) < 1e-14
 
     def test_seven_site_rationals(self):
         h = build_sector_hamiltonian(7, 1)
-        state = propagate(h, initial_sector_state(7, 1), math.pi / 7)
+        state = propagate(h, initial_sector_state(sector_basis(7, 1)), math.pi / 7)
         eigenvalues = schmidt_eigenvalues(state, 1)
         assert abs(eigenvalues[0] - 25.0 / 49.0) < 1e-9
         assert abs(eigenvalues[1] - 24.0 / 49.0) < 1e-9
@@ -241,7 +257,7 @@ class TestReducedDensity:
     def test_hermitian_unit_trace_psd(self):
         # eigvalsh of each Hermitian block: real, summing to the unit trace
         h = build_sector_hamiltonian(6, 3)
-        state = propagate(h, initial_sector_state(6, 3), 1.234)
+        state = propagate(h, initial_sector_state(sector_basis(6, 3)), 1.234)
         eigenvalues = schmidt_eigenvalues(state, 3)
         assert eigenvalues.shape == (8,)
         assert abs(eigenvalues.sum() - 1.0) < 1e-10
@@ -252,7 +268,7 @@ class TestReducedDensity:
         rng = np.random.default_rng(4)
         for n, m in ((6, 2), (8, 3), (10, 5)):
             h = build_sector_hamiltonian(n, m)
-            psi0 = initial_sector_state(n, m)
+            psi0 = initial_sector_state(sector_basis(n, m))
             state = propagate(h, psi0, float(rng.uniform(0, 2 * math.pi)))
             eig = schmidt_eigenvalues(state, m)
             assert int((eig > 1e-12).sum()) <= min(m, n - m) + 1
@@ -285,18 +301,18 @@ class TestReducedDensity:
     @pytest.mark.parametrize("size", [-1, 7, 9])
     def test_schmidt_partition_out_of_range(self, size):
         with pytest.raises(ValueError, match=r"0\.\.6"):
-            schmidt_eigenvalues(initial_sector_state(6, 3), size)
+            schmidt_eigenvalues(initial_sector_state(sector_basis(6, 3)), size)
 
     @pytest.mark.parametrize("size", [0, 6])
     def test_schmidt_trivial_partition(self, size):
-        assert np.array_equal(schmidt_eigenvalues(initial_sector_state(6, 3), size), [1.0])
+        assert np.array_equal(schmidt_eigenvalues(initial_sector_state(sector_basis(6, 3)), size), [1.0])
 
     def test_partition_relabeling_invariance(self):
         # permuting the sites of the state and cutting along the permuted
         # partition must leave the spectrum unchanged
         n, m, tau = 5, 2, 0.7
         h = build_sector_hamiltonian(n, m)
-        state = propagate(h, initial_sector_state(n, m), tau)
+        state = propagate(h, initial_sector_state(sector_basis(n, m)), tau)
         reference = np.sort(schmidt_eigenvalues(state, m))
 
         permutation = [2, 4, 1, 0, 3]  # image of each site
@@ -454,6 +470,24 @@ class TestVerifyClosedForm:
         assert verify_closed_form(ModelSpec(8, 3), [0.0, 0.4, 1.3]).passed
         assert built == [ModelSpec(8, 3)]
 
+    def test_one_basis_and_one_reference_call_per_sector(self, monkeypatch):
+        bases, reference_calls = [], []
+        true_basis, true_amplitudes_at = oracle.sector_basis, evolution.amplitudes_at
+
+        def counted_basis(n_total, excitation_count):
+            bases.append((n_total, excitation_count))
+            return true_basis(n_total, excitation_count)
+
+        def counted_amplitudes_at(spec, table, tau):
+            reference_calls.append(np.shape(tau))
+            return true_amplitudes_at(spec, table, tau)
+
+        monkeypatch.setattr(oracle, "sector_basis", counted_basis)
+        monkeypatch.setattr(evolution, "amplitudes_at", counted_amplitudes_at)
+        assert verify_closed_form(ModelSpec(8, 3), np.linspace(0.0, 3.0, 16)).passed
+        assert bases == [(8, 3)]
+        assert reference_calls == [(16,)]
+
     @pytest.mark.parametrize(
         "samples", [[0.3, math.nan], [math.inf], [0.3, -math.inf], []], ids=str
     )
@@ -513,7 +547,7 @@ class TestVerifyClosedForm:
         rng = np.random.default_rng(9)
         for n in (3, 6, 9):
             h = build_sector_hamiltonian(n, 1)
-            psi0 = initial_sector_state(n, 1)
+            psi0 = initial_sector_state(sector_basis(n, 1))
             for tau in rng.uniform(0.0, 2.0 * math.pi, 10):
                 state = propagate(h, psi0, tau)
                 oracle = von_neumann_entropy(schmidt_eigenvalues(state, 1))

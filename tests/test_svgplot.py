@@ -31,6 +31,15 @@ def test_valid_xml_with_one_polyline_per_series():
         assert len(line.attrib["points"].split()) == 3
 
 
+def test_text_is_escaped():
+    svg = line_plot([("x<y", [0, 1], [0.0, 1.0])], title="a<b & c", x_label="p>q", y_label="&")
+    assert ">a&lt;b &amp; c</text>" in svg
+    assert ">x&lt;y</text>" in svg
+    assert ">p&gt;q</text>" in svg
+    assert ">&amp;</text>" in svg
+    ET.fromstring(svg)
+
+
 def test_point_counts_match_input():
     xs = list(range(100))
     ys = [x * 0.01 for x in xs]
