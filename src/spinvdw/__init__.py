@@ -40,7 +40,6 @@ from .oracle import (
     SectorState,
     VerificationReport,
     build_sector_hamiltonian,
-    full_space_crosscheck,
     initial_sector_state,
     propagate,
     schmidt_eigenvalues,
@@ -76,7 +75,6 @@ __all__ = [
     "entropy",
     "entropy_grid",
     "entropy_rate_m1",
-    "full_space_crosscheck",
     "initial_sector_state",
     "magic_number_scan",
     "max_entropy_at_t2",

@@ -9,10 +9,12 @@ from __future__ import annotations
 
 import math
 import time
+from fractions import Fraction
 
 import numpy as np
 
 from spinvdw.cli import main
+from spinvdw.combinatorics import b_table, schmidt_multiplicities
 from spinvdw.entanglement import (
     critical_times_m1,
     entropy_grid,
@@ -21,7 +23,9 @@ from spinvdw.entanglement import (
     max_entropy_at_t2,
 )
 from spinvdw.model import ModelSpec
-from spinvdw.oracle import full_space_crosscheck, verify_closed_form
+from spinvdw.oracle import verify_closed_form
+
+from full_space import full_space_crosscheck
 
 
 def report(num: int, label: str, ok: bool, detail: str) -> None:
@@ -212,4 +216,45 @@ def test_criterion_8_figure_data_properties(tmp_path):
         "figure families: balanced argmax and unit peaks",
         ok,
         f"argmax balance holds for N=2..8, max |peak - 1| = {worst_gap:.2e} for N<=6",
+    )
+
+
+def _sum_rule_deviation(spec: ModelSpec, drop: int = 0) -> float:
+    """Worst |mean of P_m - D_m sum_n b[m][n]^2| over m, the mean taken on a
+    uniform grid of K - ``drop`` points over one period 2 pi / g.
+
+    The frequencies phi_n = n(N+1-n) - M(N-M) are distinct for n <= M', so
+    every cross term e^{-i(phi_n - phi_n') tau} of P_m oscillates with a
+    nonzero multiple of g below K g and averages to zero on K points; the
+    long-time average D_m sum_n b[m][n]^2 is exact and rational.
+    """
+    n_total, m_excited = spec.n_total, spec.m_excited
+    phases = [n * (n_total + 1 - n) - m_excited * (n_total - m_excited)
+              for n in range(spec.m_prime + 1)]
+    g = math.gcd(*(phi - phases[0] for phi in phases[1:]))
+    points = (phases[-1] - phases[0]) // g + 1 - drop
+    taus = np.linspace(0.0, 2.0 * math.pi / g, points, endpoint=False)
+    probs, _ = entropy_grid(spec, taus)
+    table = b_table(spec)
+    exact = [
+        d * sum((b * b for b in row), Fraction(0))
+        for d, row in zip(schmidt_multiplicities(spec), table.entries)
+    ]
+    assert sum(exact) == 1
+    return float(np.max(np.abs(probs.mean(axis=0) - [float(p) for p in exact])))
+
+
+def test_criterion_9_time_average_sum_rule():
+    start = time.perf_counter()
+    specs = [(7, 1), (13, 6), (30, 11), (80, 40), (200, 1), (200, 100)]
+    worst = max(_sum_rule_deviation(ModelSpec(n, m)) for n, m in specs)
+    # one point short, the top frequency aliases onto the mean
+    aliased = _sum_rule_deviation(ModelSpec(7, 1), drop=1)
+    elapsed = time.perf_counter() - start
+    ok = worst <= 1e-13 and aliased > 0.1
+    report(
+        9,
+        "period mean of P_m vs exact D_m sum_n b[m][n]^2",
+        ok,
+        f"max deviation = {worst:.2e} up to N=200, {aliased:.2e} one point short, {elapsed:.2f}s",
     )

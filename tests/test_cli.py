@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import concurrent.futures
 import hashlib
 import math
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -14,7 +16,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spinvdw.cli import _build_parser, _parse_args, main
+from spinvdw import cli
+from spinvdw.cli import _build_parser, _format_block, _parse_args, main
+from spinvdw.entanglement import entropy_grid
+from spinvdw.model import ModelSpec
 from spinvdw.svgplot import line_plot
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
@@ -25,6 +30,23 @@ def read_csv(path):
     header = lines[0].split(",")
     rows = [line.split(",") for line in lines[1:]]
     return header, rows
+
+
+def report_cpus(monkeypatch, count):
+    """Make the package see ``count`` available CPUs."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+
+
+FORK = "fork" in multiprocessing.get_all_start_methods()
+TEST_PID = os.getpid()
+
+
+def _fail_in_worker(parts):
+    """``cli._format_block`` that raises in every process but the test's own;
+    module level, so that the pool can send it to its worker by name."""
+    if os.getpid() != TEST_PID:
+        raise RuntimeError("formatting failed in the worker")
+    return _format_block(parts)
 
 
 def run_module(*args, cwd):
@@ -168,6 +190,72 @@ class TestEvolve:
             _, rows = read_csv(out)
             assert len(rows) == steps
             assert all(math.isfinite(float(value)) for row in rows for value in row)
+
+
+class TestLongTables:
+    """``_float_blocks`` formats a table of at least ``PARALLEL_FORMAT_VALUES``
+    floats in two processes where fork and a second CPU exist; the bytes
+    never depend on it.  The threshold is lowered here so that short grids
+    cross it: an evolve row at N = 3, M = 1 holds 4 floats."""
+
+    THRESHOLD_ROWS = 50
+    TAU_MAX = 2.5
+
+    @pytest.fixture
+    def pools(self, monkeypatch):
+        """The worker count of every process pool the CLI starts."""
+        sizes = []
+
+        class RecordedPool(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, max_workers, *args, **kwargs):
+                sizes.append(max_workers)
+                super().__init__(max_workers, *args, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordedPool)
+        monkeypatch.setattr(cli, "PARALLEL_FORMAT_VALUES", 4 * self.THRESHOLD_ROWS)
+        return sizes
+
+    def reference_bytes(self, steps):
+        taus = np.linspace(0.0, self.TAU_MAX, steps)
+        probs, entropies = entropy_grid(ModelSpec(3, 1), taus)
+        rows = np.column_stack([taus, probs, entropies]).tolist()
+        lines = ["tau,p_0,p_1,entropy"] + [",".join(map(repr, row)) for row in rows]
+        return "".join(line + "\n" for line in lines).encode()
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize("steps", [THRESHOLD_ROWS - 1, THRESHOLD_ROWS, THRESHOLD_ROWS + 1, 101])
+    def test_evolve_bytes_match_reference(self, tmp_path, monkeypatch, pools, cpus, steps):
+        report_cpus(monkeypatch, cpus)
+        out = tmp_path / "evolve.csv"
+        code = main(["evolve", "--n", "3", "--m", "1", "--tau-max", repr(self.TAU_MAX),
+                     "--steps", str(steps), "--out", str(out)])
+        assert code == 0
+        assert out.read_bytes() == self.reference_bytes(steps)
+        two_processes = FORK and cpus > 1 and steps >= self.THRESHOLD_ROWS
+        assert pools == ([1] if two_processes else [])
+        assert multiprocessing.active_children() == []
+
+    def test_figures_bytes_do_not_depend_on_processes(self, tmp_path, monkeypatch, pools, fig_dir):
+        # every per-N table of fig1 and fig2 is cut between the two processes
+        report_cpus(monkeypatch, 2)
+        monkeypatch.setattr(cli, "PARALLEL_FORMAT_VALUES", 1)
+        assert main(["figures", "--out-dir", str(tmp_path)]) == 0
+        for name in ("fig1.csv", "fig2.csv", "fig3.csv"):
+            assert (tmp_path / name).read_bytes() == (fig_dir / name).read_bytes(), name
+        assert pools == ([1, 1] if FORK else [])
+
+    @pytest.mark.skipif(not FORK, reason="the second process needs the fork start method")
+    def test_worker_failure_writes_nothing(self, tmp_path, monkeypatch, capsys, pools):
+        report_cpus(monkeypatch, 2)
+        monkeypatch.setattr(cli, "_format_block", _fail_in_worker)
+        out = tmp_path / "evolve.csv"
+        code = main(["evolve", "--n", "3", "--steps", str(2 * self.THRESHOLD_ROWS),
+                     "--out", str(out), "--svg"])
+        assert code == 1
+        assert pools == [1]
+        assert capsys.readouterr().err.splitlines() == ["error: formatting failed in the worker"]
+        assert list(tmp_path.iterdir()) == []
+        assert multiprocessing.active_children() == []
 
 
 class TestMaxima:
@@ -397,12 +485,24 @@ class TestModuleEntryPoint:
         assert proc.returncode == 2
         assert "usage:" in proc.stderr
 
-    def test_start_up_skips_the_url_stack(self, tmp_path):
-        # urllib.request alone costs tens of milliseconds on every command
+    @staticmethod
+    def loaded_by_import(modules, cwd):
+        """Those of ``modules`` that a fresh ``import spinvdw.cli`` loads."""
         env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
         proc = subprocess.run(
-            [sys.executable, "-c", "import sys, spinvdw.cli; print('urllib.request' in sys.modules)"],
-            capture_output=True, text=True, env=env, cwd=tmp_path,
+            [sys.executable, "-c",
+             f"import sys, spinvdw.cli; print([m for m in {modules!r} if m in sys.modules])"],
+            capture_output=True, text=True, env=env, cwd=cwd,
         )
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout == "False\n"
+        return proc.stdout
+
+    def test_start_up_skips_the_url_stack(self, tmp_path):
+        # urllib.request alone costs tens of milliseconds on every command
+        assert self.loaded_by_import(["urllib.request"], tmp_path) == "[]\n"
+
+    def test_start_up_skips_the_process_pool(self, tmp_path):
+        # only a long table's formatting needs them; they cost every command
+        # about 25 ms of start-up
+        modules = ["multiprocessing", "concurrent.futures"]
+        assert self.loaded_by_import(modules, tmp_path) == "[]\n"

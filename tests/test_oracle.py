@@ -16,9 +16,6 @@ from spinvdw.oracle import (
     SectorHamiltonian,
     SectorState,
     build_sector_hamiltonian,
-    full_space_crosscheck,
-    full_space_hamiltonian,
-    full_space_propagate,
     initial_sector_state,
     propagate,
     schmidt_eigenvalues,
@@ -26,6 +23,8 @@ from spinvdw.oracle import (
     verify_closed_form,
     von_neumann_entropy,
 )
+
+from full_space import full_space_crosscheck, full_space_hamiltonian, full_space_propagate
 
 
 class TestSectorBasis:
