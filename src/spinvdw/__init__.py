@@ -3,9 +3,9 @@ XY (spin van der Waals / Lipkin-Meshkov-Glick) systems.
 
 Two independent pipelines compute the same observables: a closed-form one
 (exact rational mixing coefficients, integer oscillation frequencies) and a
-brute-force one (dense sector Hamiltonians, propagated exactly in a Krylov
-subspace, and Schmidt spectra from the block-diagonal reduced density, one
-batched step for all sample times).  The :mod:`spinvdw.oracle` module
+brute-force one (sector Hamiltonians held as hop tables, propagated
+exactly in a Krylov subspace, and Schmidt spectra from the block-diagonal
+reduced density, one batched step for all sample times).  The :mod:`spinvdw.oracle` module
 compares them; the CLI exposes both.
 """
 

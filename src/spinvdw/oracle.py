@@ -1,14 +1,17 @@
-"""Brute-force verification path: dense excitation-sector Hamiltonians,
-exact propagation in the start state's Krylov subspace, and Schmidt spectra
-from the block-diagonal reduced density.
+"""Brute-force verification path: excitation-sector Hamiltonians as hop
+tables, exact propagation in the start state's Krylov subspace, and Schmidt
+spectra from the block-diagonal reduced density.
 
-Propagation runs real Lanczos on the dense sector matrix, once from the
-real and once from the imaginary part of the start state (a zero part is
-skipped), until the residual vanishes, so each cyclic subspace is invariant
-and exp(-i H tau) acts on it exactly through one small tridiagonal
-eigendecomposition.  The subspace is found from the matrix and the start
-vector alone: nothing sizes it from the model.  One call evolves to every
-time of a 1-d tau array at once.
+A sector Hamiltonian is held matrix-free, as a table with one row per basis
+state listing the states one hop away; the hop matrix is 0/1, so H v sums
+the neighbours' entries of v, in O(d M(N-M)) time and memory where a dense
+d x d matrix would take O(d^2).  Propagation runs real Lanczos on that
+product, once from the real and once from the imaginary part of the start
+state (a zero part is skipped), until the residual vanishes, so each cyclic
+subspace is invariant and exp(-i H tau) acts on it exactly through one small
+tridiagonal eigendecomposition.  The subspace is found from the Hamiltonian
+and the start vector alone: nothing sizes it from the model.  One call
+evolves to every time of a 1-d tau array at once.
 
 The reduced density of a sector state is block diagonal in the kept side's
 excitation count, because the Hamiltonian conserves excitation number.
@@ -27,22 +30,27 @@ require.
 
 from __future__ import annotations
 
-import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .model import ModelSpec
 
-# Dense-solver budget: C(14, 7) = 3432 sector states.
-SECTOR_SITE_BUDGET = 14
-# Lanczos stops once its residual falls below this fraction of the matrix's
-# Frobenius norm, a bound on the spectral radius.
+# Hop-table budget: C(18, 9) = 48620 sector states.  The worst sector,
+# (18,9), verifies 64 samples in 1.1-1.8 s at 191 MiB peak RSS (one fresh
+# process, 2-vCPU Xeon, numpy 2.4.6); the whole `verify --n-max 18` takes
+# 5.1 s and 217 MiB.  Beyond 18 the (d, M, N-M) int64 hopped-pattern
+# temporary of the table build (148 MB at (20,10)) calls for a site-by-site
+# build.
+SECTOR_SITE_BUDGET = 18
+# Lanczos stops once its residual falls below this fraction of the
+# Hamiltonian's Frobenius norm, a bound on the spectral radius.
 KRYLOV_BREAKDOWN = 1e-13
 
 
 class BudgetExceededError(ValueError):
-    """A request exceeded the dense-solver size budget."""
+    """A request exceeded a solver's size budget."""
 
 
 @dataclass(frozen=True)
@@ -57,10 +65,27 @@ class SectorBasis:
 
 @dataclass(frozen=True, eq=False)
 class SectorHamiltonian:
-    """Hop matrix on a sector basis, in units of the coupling."""
+    """Hop Hamiltonian on a sector basis, in units of the coupling.
+
+    ``neighbours`` has shape (d, M(N-M)): row s holds the indices of the
+    states one hop away from basis state s, so the 0/1 hop matrix has a one
+    at (s, t) for each t in row s.
+    """
 
     basis: SectorBasis
-    matrix: np.ndarray
+    neighbours: np.ndarray
+
+    def apply(self, vector: np.ndarray) -> np.ndarray:
+        """H v for a length-d vector: each state sums its neighbours' entries."""
+        return vector[self.neighbours].sum(axis=1)
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """The dense d x d hop matrix, built from the table on each access."""
+        dim = self.neighbours.shape[0]
+        dense = np.zeros((dim, dim))
+        dense[np.arange(dim)[:, None], self.neighbours] = 1.0
+        return dense
 
     def eigensystem(self) -> tuple[np.ndarray, np.ndarray]:
         """(eigenvalues, eigenvectors) of the real symmetric matrix."""
@@ -96,23 +121,25 @@ def build_sector_hamiltonian(n_total: int, excitations: int) -> SectorHamiltonia
 
     Matrix element 1 (in units of the coupling) between any two basis states
     that differ by moving a single excitation between two sites; excitation
-    number is conserved, the diagonal is zero.
+    number is conserved, the diagonal is zero.  Each state has M occupied
+    and N-M empty sites, so M(N-M) neighbours: row s of the read-only int32
+    table lists them, ordered by the occupied site, then the empty one.
     """
     if n_total > SECTOR_SITE_BUDGET:
         raise BudgetExceededError(
-            f"n_total = {n_total} exceeds the dense sector budget of {SECTOR_SITE_BUDGET}"
+            f"n_total = {n_total} exceeds the sector budget of {SECTOR_SITE_BUDGET}"
         )
     basis = sector_basis(n_total, excitations)
     patterns = np.array(basis.states, dtype=np.int64)
-    # the N(N-1) ordered site pairs (i, j): an excitation hops from i to j
-    pairs = np.array(list(itertools.permutations(range(n_total), 2)), dtype=np.int64)
-    i, j = pairs.reshape(-1, 2).T
     occupied = (patterns[:, None] >> np.arange(n_total) & 1).astype(bool)
-    row, pair = np.nonzero(occupied[:, i] & ~occupied[:, j])
-    hopped = patterns[row] ^ (1 << i[pair]) ^ (1 << j[pair])
-    matrix = np.zeros((patterns.size, patterns.size))
-    matrix[row, np.searchsorted(patterns, hopped)] = 1.0
-    return SectorHamiltonian(basis, matrix)
+    # nonzero runs row by row: each state's M occupied, then N-M empty sites
+    filled = np.nonzero(occupied)[1].reshape(patterns.size, excitations)
+    empty = np.nonzero(~occupied)[1].reshape(patterns.size, n_total - excitations)
+    # an excitation hops from each occupied site i to each empty site j
+    hopped = patterns[:, None, None] ^ (1 << filled)[:, :, None] ^ (1 << empty)[:, None, :]
+    neighbours = np.searchsorted(patterns, hopped.reshape(patterns.size, -1)).astype(np.int32)
+    neighbours.flags.writeable = False
+    return SectorHamiltonian(basis, neighbours)
 
 
 def initial_sector_state(basis: SectorBasis) -> SectorState:
@@ -122,22 +149,23 @@ def initial_sector_state(basis: SectorBasis) -> SectorState:
     return SectorState(basis, amplitudes)
 
 
-def _krylov_spectrum(matrix: np.ndarray, start: np.ndarray) -> tuple:
+def _krylov_spectrum(product, frobenius: float, start: np.ndarray) -> tuple:
     """Lanczos basis Q (one vector per row) of the cyclic subspace of the
     real unit vector ``start``, and the eigendecomposition T = S diag(Theta) S^T
-    of the tridiagonal projection of the real symmetric ``matrix`` onto it.
+    of the tridiagonal projection onto it of the real symmetric H that
+    ``product`` applies (v -> H v) and whose Frobenius norm is ``frobenius``.
 
     Each new vector is orthogonalized twice against all earlier ones
     (classical Gram-Schmidt).  The loop ends when the residual norm beta
-    drops below ``KRYLOV_BREAKDOWN`` times the Frobenius norm of ``matrix``,
-    so the subspace is invariant to rounding, or when it spans the whole space.
+    drops below ``KRYLOV_BREAKDOWN`` times ``frobenius``, so the subspace is
+    invariant to rounding, or when it spans the whole space.
     """
-    dim = matrix.shape[0]
-    threshold = KRYLOV_BREAKDOWN * float(np.linalg.norm(matrix))
+    dim = start.size
+    threshold = KRYLOV_BREAKDOWN * frobenius
     vectors, alphas, betas = [start], [], []
     while True:
         subspace = np.array(vectors)
-        residual = matrix @ vectors[-1]
+        residual = product(vectors[-1])
         overlap = np.zeros(len(vectors))
         for _ in range(2):
             step = subspace @ residual
@@ -160,10 +188,11 @@ def propagate(h: SectorHamiltonian, initial: SectorState, tau) -> SectorState:
     ``tau.shape + (d,)``.  H is real, so U(a + ib) = Ua + iUb: each nonzero
     part x of the start state takes one real :func:`_krylov_spectrum` pass,
     and psi(tau) sums |x| (exp(-i tau Theta) * S[0, :]) S^T Q over the parts,
-    times i for the imaginary one.  Every time then costs O(d k) for a
-    k-vector subspace.  A zero start state evolves to the zero state.
-    Raises ValueError for a non-finite tau or a start state with a
-    non-finite amplitude.
+    times i for the imaginary one.  Each Lanczos step applies the hop table;
+    the 0/1 hop matrix's Frobenius norm is the square root of the table's
+    size.  Every time then costs O(d k) for a k-vector subspace.  A zero
+    start state evolves to the zero state.  Raises ValueError for a
+    non-finite tau or a start state with a non-finite amplitude.
     """
     if h.basis != initial.basis:
         raise ValueError("state and Hamiltonian use different bases")
@@ -174,11 +203,12 @@ def propagate(h: SectorHamiltonian, initial: SectorState, tau) -> SectorState:
     if not np.isfinite(amplitudes).all():
         raise ValueError("start state has a non-finite amplitude")
     evolved = np.zeros(taus.shape + amplitudes.shape, dtype=complex)
+    frobenius = math.sqrt(h.neighbours.size)
     for unit, part in ((1.0, amplitudes.real), (1j, amplitudes.imag)):
         norm = float(np.linalg.norm(part))
         if norm == 0.0:
             continue
-        vectors, theta, rotation = _krylov_spectrum(h.matrix, part / norm)
+        vectors, theta, rotation = _krylov_spectrum(h.apply, frobenius, part / norm)
         phased = np.exp(-1j * np.multiply.outer(taus, theta)) * rotation[0]
         evolved += (unit * norm * (phased @ rotation.T)) @ vectors
     return SectorState(h.basis, evolved)
@@ -257,7 +287,7 @@ def von_neumann_entropy(eigenvalues):
 
 @dataclass(frozen=True)
 class VerificationReport:
-    """Worst deviations between the closed forms and the dense pipeline."""
+    """Worst deviations between the closed forms and the sector pipeline."""
 
     spec: ModelSpec
     sample_count: int
@@ -274,16 +304,16 @@ class VerificationReport:
 
 
 def verify_closed_form(spec: ModelSpec, tau_samples) -> VerificationReport:
-    """Compare closed-form Schmidt spectra and entropies against the dense
+    """Compare closed-form Schmidt spectra and entropies against the sector
     pipeline at each sample time.
 
     Both closed-form paths are checked, each with all samples in one call:
     the complex reference path (:func:`amplitudes_at`, :func:`schmidt_spectrum`,
     :func:`entropy`) and the real, blocked kernel path (:func:`entropy_grid`).
-    The oracle builds the sector basis once, for the Hamiltonian and the
+    The oracle builds the sector basis once, for the hop table and the
     start state, and evolves, reduces and scores every sample in one
     :func:`propagate`, one :func:`schmidt_eigenvalues` and one
-    :func:`von_neumann_entropy` call.
+    :func:`von_neumann_entropy` call; it never forms a d x d matrix.
     Each closed-form spectrum is zero-padded to the oracle's spectrum length
     and compared with it in descending order.  Raises ValueError unless the
     samples are finite and non-empty; a NaN deviation fails the report.
@@ -296,11 +326,10 @@ def verify_closed_form(spec: ModelSpec, tau_samples) -> VerificationReport:
         raise ValueError("tau samples must be finite and non-empty")
     hamiltonian = build_sector_hamiltonian(spec.n_total, spec.m_excited)
     evolved = propagate(hamiltonian, initial_sector_state(hamiltonian.basis), taus)
-    del hamiltonian  # the d x d hop matrix goes before the Schmidt step's temporaries
     oracle_eig = schmidt_eigenvalues(evolved, spec.m_excited)
-    dense_entropies = von_neumann_entropy(oracle_eig)
-    dense = np.zeros((taus.size, max(oracle_eig.shape[1], spec.m_prime + 1)))
-    dense[:, : oracle_eig.shape[1]] = oracle_eig
+    oracle_entropies = von_neumann_entropy(oracle_eig)
+    padded = np.zeros((taus.size, max(oracle_eig.shape[1], spec.m_prime + 1)))
+    padded[:, : oracle_eig.shape[1]] = oracle_eig
     # built once: the kernel path below reads the same table
     reference = schmidt_spectrum(amplitudes_at(spec, exact_table(spec), taus))
     kernel_probs, kernel_entropies = entropy_grid(spec, taus)
@@ -310,10 +339,10 @@ def verify_closed_form(spec: ModelSpec, tau_samples) -> VerificationReport:
         (reference.probabilities, entropy(reference)),
         (kernel_probs, kernel_entropies),
     ):
-        closed = np.zeros_like(dense)
+        closed = np.zeros_like(padded)
         closed[:, : probs.shape[1]] = np.sort(probs, axis=1)[:, ::-1]
-        spectrum_deviations.append(np.max(np.abs(closed - dense)))
-        entropy_deviations.append(np.max(np.abs(entropies - dense_entropies)))
+        spectrum_deviations.append(np.max(np.abs(closed - padded)))
+        entropy_deviations.append(np.max(np.abs(entropies - oracle_entropies)))
     # np.max propagates NaN, where the builtin max would drop it
     return VerificationReport(
         spec, taus.size, float(np.max(spectrum_deviations)), float(np.max(entropy_deviations))

@@ -1,9 +1,11 @@
-"""Full 2^N reference for the tests: the hop Hamiltonian from explicit Pauli
-tensor products, exact propagation of the initial product state on the whole
-space, and the check that the sector restriction loses nothing.
+"""Dense references for the tests: the hop Hamiltonian on the full 2^N
+space from explicit Pauli tensor products, exact propagation of the initial
+product state on the whole space, the check that the sector restriction
+loses nothing, and the d x d sector hop matrix built directly from site
+pairs.
 
-No production path needs the full space; the tests hold the sector
-Hamiltonian and its propagation to it.
+No production path needs a dense matrix; the tests hold the sector hop
+table and its propagation to these.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from spinvdw.oracle import (
     build_sector_hamiltonian,
     initial_sector_state,
     propagate,
+    sector_basis,
 )
 
 # 2^8 full-space states
@@ -44,6 +47,22 @@ def full_space_hamiltonian(n_total: int) -> np.ndarray:
         hop += functools.reduce(np.kron, factors)
     # the reverse hop sigma^+ on b, sigma^- on a is the transpose
     return hop + hop.T
+
+
+def dense_sector_matrix(n_total: int, excitations: int) -> np.ndarray:
+    """The d x d sector hop matrix, filled from every ordered site pair whose
+    first site is occupied and second empty, independently of the hop table."""
+    basis = sector_basis(n_total, excitations)
+    patterns = np.array(basis.states, dtype=np.int64)
+    # the N(N-1) ordered site pairs (i, j): an excitation hops from i to j
+    pairs = np.array(list(itertools.permutations(range(n_total), 2)), dtype=np.int64)
+    i, j = pairs.reshape(-1, 2).T
+    occupied = (patterns[:, None] >> np.arange(n_total) & 1).astype(bool)
+    row, pair = np.nonzero(occupied[:, i] & ~occupied[:, j])
+    hopped = patterns[row] ^ (1 << i[pair]) ^ (1 << j[pair])
+    matrix = np.zeros((patterns.size, patterns.size))
+    matrix[row, np.searchsorted(patterns, hopped)] = 1.0
+    return matrix
 
 
 def full_space_propagate(n_total: int, m_excited: int, tau) -> np.ndarray:

@@ -103,7 +103,7 @@ def test_criterion_4_oracle_equivalence():
     ok &= worst_p < 1e-9 and worst_e < 1e-9 and elapsed < 120.0
     report(
         4,
-        "closed form vs dense sector Hamiltonian, N<=10, M<=N/2",
+        "closed form vs sector hop Hamiltonian, N<=10, M<=N/2",
         ok,
         f"max|dP| = {worst_p:.2e}, max|dE| = {worst_e:.2e}, {elapsed:.1f}s",
     )
@@ -257,4 +257,25 @@ def test_criterion_9_time_average_sum_rule():
         "period mean of P_m vs exact D_m sum_n b[m][n]^2",
         ok,
         f"max deviation = {worst:.2e} up to N=200, {aliased:.2e} one point short, {elapsed:.2f}s",
+    )
+
+
+def test_criterion_10_oracle_reach():
+    # the largest balanced sectors the hop-table oracle reaches, seeded as verify seeds them
+    start = time.perf_counter()
+    worst_p = worst_e = 0.0
+    ok = True
+    for n, m in ((16, 8), (18, 9)):
+        taus = np.random.default_rng(1_000 * n + m).uniform(0.0, 4.0 * math.pi, 64)
+        rep = verify_closed_form(ModelSpec(n, m), taus)
+        ok &= rep.passed and rep.tolerance == 1e-9
+        worst_p = max(worst_p, rep.max_spectrum_deviation)
+        worst_e = max(worst_e, rep.max_entropy_deviation)
+    elapsed = time.perf_counter() - start
+    ok &= worst_p < 1e-9 and worst_e < 1e-9 and elapsed < 60.0
+    report(
+        10,
+        "closed form vs sector hop Hamiltonian at (16,8) and (18,9)",
+        ok,
+        f"max|dP| = {worst_p:.2e}, max|dE| = {worst_e:.2e}, {elapsed:.1f}s",
     )

@@ -320,6 +320,10 @@ class TestVerify:
     def test_budget_guard(self):
         assert main(["verify", "--n-max", "20"]) == 2
 
+    def test_budget_is_eighteen_sites(self, capsys):
+        assert main(["verify", "--n-max", "19"]) == 2
+        assert "n-max <= 18 (sector hop-table budget)" in capsys.readouterr().err
+
     def test_restricted_to_balanced_sector(self, capsys):
         assert main(["verify", "--n-max", "10", "--m", "5"]) == 0
         captured = capsys.readouterr().out

@@ -24,7 +24,12 @@ from spinvdw.oracle import (
     von_neumann_entropy,
 )
 
-from full_space import full_space_crosscheck, full_space_hamiltonian, full_space_propagate
+from full_space import (
+    dense_sector_matrix,
+    full_space_crosscheck,
+    full_space_hamiltonian,
+    full_space_propagate,
+)
 
 
 class TestSectorBasis:
@@ -74,7 +79,28 @@ class TestSectorHamiltonian:
 
     def test_budget(self):
         with pytest.raises(BudgetExceededError):
-            build_sector_hamiltonian(15, 1)
+            build_sector_hamiltonian(19, 1)
+
+    def test_table_shape(self):
+        # one row per state, one column per (occupied, empty) site pair
+        table = build_sector_hamiltonian(7, 3).neighbours
+        assert table.shape == (35, 3 * 4) and table.dtype == np.int32
+        assert not table.flags.writeable
+        assert build_sector_hamiltonian(4, 0).neighbours.shape == (1, 0)
+
+    def test_matrix_matches_dense_reference(self):
+        for n in range(13):
+            for m in range(n + 1):
+                assert np.array_equal(
+                    build_sector_hamiltonian(n, m).matrix, dense_sector_matrix(n, m)
+                ), (n, m)
+
+    @pytest.mark.parametrize("n,m", [(13, 6), (14, 7)])
+    def test_table_product_matches_dense(self, n, m):
+        h = build_sector_hamiltonian(n, m)
+        vector = np.random.default_rng(n).normal(size=len(h.basis.states))
+        vector /= np.linalg.norm(vector)
+        assert np.max(np.abs(h.apply(vector) - dense_sector_matrix(n, m) @ vector)) < 1e-15
 
     @pytest.mark.parametrize("n", range(2, 9))
     def test_matches_full_space_restriction(self, n):
@@ -140,20 +166,25 @@ def _spectral_reference(h: SectorHamiltonian, amplitudes: np.ndarray, tau: float
 
 class TestKrylovPropagate:
     def test_generic_matrix_runs_to_full_dimension(self):
-        # no invariant subspace to find: the loop must span the whole sector
-        basis = sector_basis(7, 3)
+        # no invariant subspace to find: the loop must span the whole space;
+        # a dense product stands in for the hop table
         rng = np.random.default_rng(73)
-        raw = rng.normal(size=(len(basis.states), len(basis.states)))
-        h = SectorHamiltonian(basis, raw + raw.T)
-        assert np.min(np.diff(h.eigensystem()[0])) > 1e-6
+        raw = rng.normal(size=(35, 35))
+        matrix = raw + raw.T
+        eigenvalues, eigenvectors = np.linalg.eigh(matrix)
+        assert np.min(np.diff(eigenvalues)) > 1e-6
         psi = _random_sector_state(7, 3, seed=5)
         start = psi.amplitudes.real / np.linalg.norm(psi.amplitudes.real)
-        vectors, theta, rotation = oracle._krylov_spectrum(h.matrix, start)
+        vectors, theta, rotation = oracle._krylov_spectrum(
+            matrix.__matmul__, float(np.linalg.norm(matrix)), start
+        )
         assert vectors.shape == (35, 35) and theta.shape == (35,)
         assert vectors.dtype == np.float64
         for tau in (0.0, 0.37, 2.9, 11.5):
-            evolved = propagate(h, psi, tau).amplitudes
-            assert np.max(np.abs(evolved - _spectral_reference(h, psi.amplitudes, tau))) < 1e-12
+            # one real pass of propagate: (exp(-i tau Theta) * S[0, :]) S^T Q
+            evolved = (np.exp(-1j * tau * theta) * rotation[0]) @ rotation.T @ vectors
+            reference = eigenvectors @ (np.exp(-1j * eigenvalues * tau) * (eigenvectors.T @ start))
+            assert np.max(np.abs(evolved - reference)) < 1e-12
             assert abs(np.linalg.norm(evolved) - 1.0) < 1e-12
 
     def test_cache_follows_the_start_state(self):
@@ -174,7 +205,8 @@ class TestKrylovPropagate:
         # sector, so the product state's cyclic subspace closes that early
         h = build_sector_hamiltonian(n, m)
         vectors, theta, rotation = oracle._krylov_spectrum(
-            h.matrix, initial_sector_state(sector_basis(n, m)).amplitudes.real
+            h.apply, math.sqrt(h.neighbours.size),
+            initial_sector_state(sector_basis(n, m)).amplitudes.real,
         )
         assert vectors.shape[0] == theta.size == dimension
         assert vectors.dtype == np.float64
@@ -577,13 +609,35 @@ class TestVerifyClosedForm:
 
         def with_extra_hop(n_total, excitations):
             h = true_build(n_total, excitations)
-            assert h.matrix[0, -1] == 0.0  # 0b00000111 and 0b11100000 are not neighbours
-            h.matrix[0, -1] = h.matrix[-1, 0] = 1.0
-            return h
+            table = h.neighbours.copy()
+            last = len(table) - 1
+            # 0b00000111 and 0b11100000 are not neighbours: one hop of each
+            # is redirected to the other, and their old partners a and b are
+            # joined, so every row keeps M(N-M) entries and H stays symmetric
+            a, b = table[0, 0], table[last, 0]
+            assert last not in table[0] and b not in table[a]
+            table[0, 0], table[last, 0] = last, 0
+            table[a, table[a] == 0] = b
+            table[b, table[b] == last] = a
+            rewired = SectorHamiltonian(h.basis, table)
+            assert np.array_equal(rewired.matrix, rewired.matrix.T)
+            assert rewired.matrix[0, last] == 1.0
+            return rewired
 
         monkeypatch.setattr(oracle, "build_sector_hamiltonian", with_extra_hop)
         rng = np.random.default_rng(8)
         assert not verify_closed_form(ModelSpec(8, 3), rng.uniform(0, 4 * math.pi, 16)).passed
+
+
+    def test_no_dense_matrix_on_the_verify_path(self, monkeypatch):
+        def refuse(self):
+            raise AssertionError("verify built a dense d x d matrix")
+
+        monkeypatch.setattr(SectorHamiltonian, "matrix", property(refuse))
+        with pytest.raises(AssertionError, match="dense"):
+            build_sector_hamiltonian(4, 2).matrix
+        rng = np.random.default_rng(1_000 * 13 + 6)
+        assert verify_closed_form(ModelSpec(13, 6), rng.uniform(0, 4 * math.pi, 64)).passed
 
 
 class TestFullSpaceCrosscheck:
