@@ -1,13 +1,15 @@
 """Grid evaluation kernel: Schmidt probabilities and entropies over tau.
 
 ``KERNEL_BACKEND`` names the kernel implementation; the numpy kernel below
-is the only one.  A grid longer than ``BLOCK_ROWS`` is cut into equal row
-blocks, dealt to at most ``MAX_WORKERS`` threads: the kernel's time goes to
-numpy's cos, sin, matmul and log2 on whole blocks, which release the GIL.
-Memory is the output plus each worker's two block buffers.  Every block is
-computed the same way whichever worker takes it, so the rows do not depend
-on the worker count.  A one-block grid runs in the calling thread and
-starts no thread.
+is the only one.  A grid is cut into equal row blocks, each small enough
+that its cos and sin rows fill at most ``BLOCK_BYTES``, and the blocks are
+dealt to at most ``MAX_WORKERS`` threads: the kernel's time goes to numpy's
+cos, sin, matmul and log2 on whole blocks, which release the GIL.  Memory
+is the output plus each worker's two block buffers of at most
+``BLOCK_BYTES`` each, whatever the grid length and the number of modes.
+Every block is computed the same way whichever worker takes it, so the rows
+do not depend on the worker count.  A one-block grid runs in the calling
+thread and starts no thread.
 """
 
 from __future__ import annotations
@@ -21,9 +23,13 @@ KERNEL_BACKEND = "python"
 # Probabilities below this are treated as exact zeros in p*log2(p).
 ZERO_CUTOFF = 1e-300
 
-# Grid rows evaluated per block: the kernel's temporaries scale with this,
-# not with the grid length.
-BLOCK_ROWS = 8192
+# Bytes of each of a worker's two block buffers.  A block holds as many grid
+# rows as fit, at 16 bytes per row and mode (a cos and a sin float), so the
+# kernel's scratch depends neither on the grid length nor on M'+1.  At 512 KiB
+# a worker's two buffers fit a 2 MiB L2 cache, and the maxima scan's and the
+# figures' grids (up to 4097 rows at M'+1 = 2) stay one block; 256 KiB to
+# 1 MiB ran the grid benchmark equally fast.
+BLOCK_BYTES = 1 << 19
 
 # Threads that share a multi-block grid, at most one per available CPU.
 MAX_WORKERS = 2
@@ -46,18 +52,26 @@ def schmidt_entropy_grid(b, phases, degeneracy, taus):
     ``(len(taus), M'+1)`` and ``(len(taus),)``.
 
     The grid is walked in real arithmetic, in blocks of at most
-    ``BLOCK_ROWS`` rows, so temporaries scale with the block, not with the
-    grid.  A longer grid is cut into ceil(T / BLOCK_ROWS) blocks whose
-    lengths differ by at most one row, so none is shorter than
-    ``BLOCK_ROWS / 2``: a short trailing block could take a small-matrix
-    BLAS kernel that rounds unlike the one the other blocks take.  A block's
-    cos and sin are stacked into one matrix, so every block, a lone row
-    included, takes the matrix-matrix product rather than the matrix-vector
-    one.  A grid shorter than about ``BLOCK_ROWS / 2`` rows can still round
-    in the last bit unlike the same rows of a longer grid once M'+1 is about
-    32 or more, where OpenBLAS may pick its small-matrix kernel.  An
-    overflowing phase gives NaN rows without a warning; the callers'
-    normalization checks reject them.
+    max(1, ``BLOCK_BYTES`` // (16 (M'+1))) rows: a block's stacked cos and sin
+    rows fill one buffer of at most ``BLOCK_BYTES`` and their product the
+    other, so temporaries scale with neither the grid nor M'+1.  A longer
+    grid is cut into as few blocks as that allows, whose lengths differ by
+    at most one row, so none is shorter than half the limit.  Stacking cos
+    and sin makes every block, a lone row included, take the matrix-matrix
+    product rather than the matrix-vector one.
+
+    Rounding, as measured with the OpenBLAS 0.3.31 of numpy's wheel on a
+    2-CPU x86-64 Xeon: once M'+1 >= 32, OpenBLAS takes its small-matrix
+    kernel for a product of at most 1200 output floats, 2 x rows x (M'+1),
+    so a grid of at most 600 / (M'+1) rows (18 at M'+1 = 33, 14 at 41, 9 at
+    61) can round in the last bit unlike the same rows of a longer grid.  No
+    block of a multi-block grid is that short.  Other lengths can round
+    apart as well: with two BLAS threads, grids of 26 to 50 rows at
+    M'+1 = 101; and at some M'+1 of 201 or more (201, 257, 300, 500 and
+    2001, not 400 or 1000) the last few rows of any product, so there a row
+    next to a block's end depends on the grid length and on
+    ``BLOCK_BYTES``.  An overflowing phase gives NaN rows without a warning;
+    the callers' normalization checks reject them.
 
     The blocks are dealt to min(available CPUs, blocks, ``MAX_WORKERS``)
     workers, each of which works in its own two buffers, allocated once per
@@ -69,7 +83,8 @@ def schmidt_entropy_grid(b, phases, degeneracy, taus):
     degeneracy = np.asarray(degeneracy, float)
     probs = np.empty((taus.shape[0], phases.shape[0]))
     entropies = np.empty(taus.shape[0])
-    blocks = max(1, -(-taus.shape[0] // BLOCK_ROWS))
+    block_rows = max(1, BLOCK_BYTES // (16 * phases.shape[0]))
+    blocks = max(1, -(-taus.shape[0] // block_rows))
     bounds = [taus.shape[0] * k // blocks for k in range(blocks + 1)]
     spans = list(zip(bounds[:-1], bounds[1:]))
     longest = max(stop - start for start, stop in spans)

@@ -12,9 +12,11 @@ import pytest
 
 from spinvdw import backend
 from spinvdw.combinatorics import b_table, mode_frequencies, schmidt_multiplicities
-from spinvdw.entanglement import NormalizationError, entropy_grid, exact_table
+from spinvdw.cli import main
+from spinvdw.entanglement import NormalizationError, entropy_grid, exact_table, magic_number_scan
 from spinvdw.evolution import amplitudes_at
 from spinvdw.model import ModelSpec
+from spinvdw.oracle import verify_closed_form
 
 
 def table_arrays(spec):
@@ -72,19 +74,21 @@ def _complex_reference(b, phases, degeneracy, taus):
     return probs, -(kept * np.log2(kept)).sum(axis=1)
 
 
-BLOCK = backend.BLOCK_ROWS
+def block_rows(inputs):
+    """The kernel's rows per block for these inputs: as many as fit
+    ``BLOCK_BYTES`` at 16 bytes per row and mode."""
+    return max(1, backend.BLOCK_BYTES // (16 * inputs[1].size))
 
 
-@pytest.mark.parametrize("length", [1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3])
-@pytest.mark.parametrize("n_total, m_excited", [(2, 1), (9, 4), (24, 12)])
-def test_block_boundaries_do_not_change_rows(n_total, m_excited, length):
-    inputs = table_arrays(ModelSpec(n_total, m_excited))
+def _assert_rows_match_single_row_calls(inputs, length):
     taus = np.random.default_rng(length).uniform(-20.0, 20.0, length)
     probs, entropies = backend.schmidt_entropy_grid(*inputs, taus)
     assert probs.shape == (length, inputs[1].size)
     assert entropies.shape == (length,)
-    # every row next to a block boundary or a grid end, and a stride between
-    boundaries = [*range(0, length, BLOCK), length]
+    # every row next to a block boundary or a grid end, and a stride between;
+    # the kernel cuts the grid into ceil(length / block) equal blocks
+    blocks = -(-length // block_rows(inputs))
+    boundaries = [length * k // blocks for k in range(blocks + 1)]
     edges = {k + d for k in boundaries for d in range(-3, 3)}
     rows = sorted({*range(0, length, 61), *edges} & set(range(length)))
     for i in rows:
@@ -96,24 +100,39 @@ def test_block_boundaries_do_not_change_rows(n_total, m_excited, length):
     assert np.max(np.abs(entropies - ref_entropies)) < 1e-14
 
 
-def _assert_memory_is_output_plus_block_buffers():
-    inputs = table_arrays(ModelSpec(40, 20))
-    taus = np.linspace(0.0, 10.0, 100_000)
-    columns = inputs[1].size
+@pytest.mark.parametrize("length", [1, 8191, 8192, 8193, 16387])
+@pytest.mark.parametrize("n_total, m_excited", [(2, 1), (9, 4), (24, 12)])
+def test_block_boundaries_do_not_change_rows(n_total, m_excited, length):
+    _assert_rows_match_single_row_calls(table_arrays(ModelSpec(n_total, m_excited)), length)
+
+
+def _assert_memory_is_output_plus_block_buffers(spec):
+    inputs = table_arrays(spec)
+    rows = block_rows(inputs)
+    # 48 full blocks: every buffer is as large as the budget allows
+    taus = np.linspace(0.0, 10.0, 48 * rows)
     tracemalloc.start()
     try:
         probs, entropies = backend.schmidt_entropy_grid(*inputs, taus)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # each of at most MAX_WORKERS workers holds two (2 * BLOCK, M'+1) float64
-    # buffers, plus a block's comparison mask
-    allowance = 16 * BLOCK * columns * 8
+    # Each of at most MAX_WORKERS workers holds two buffers of at most
+    # BLOCK_BYTES and, one at a time, either a block's comparison mask or the
+    # iterator buffers numpy takes for a broadcast product (two of
+    # getbufsize() floats, and a little); the thread pool takes a few tens of
+    # KiB and the block list a few hundred bytes a block.  None of it grows
+    # with M'+1.
+    transient = max(rows * inputs[1].size, 2 * 8 * np.getbufsize() + 4096)
+    allowance = backend.MAX_WORKERS * (2 * backend.BLOCK_BYTES + transient)
+    allowance += 65536 + 256 * 48
     assert peak < probs.nbytes + entropies.nbytes + allowance
 
 
 def test_memory_is_output_plus_one_block():
-    _assert_memory_is_output_plus_block_buffers()
+    # one fixed allowance at M'+1 = 2, 41 and 101
+    for spec in (ModelSpec(40, 1), ModelSpec(80, 40), ModelSpec(200, 100)):
+        _assert_memory_is_output_plus_block_buffers(spec)
 
 
 def report_cpus(monkeypatch, count):
@@ -137,16 +156,28 @@ def pool_sizes(monkeypatch):
 
 def test_memory_bound_holds_with_many_cpus(monkeypatch, pool_sizes):
     report_cpus(monkeypatch, 64)
-    _assert_memory_is_output_plus_block_buffers()
+    _assert_memory_is_output_plus_block_buffers(ModelSpec(80, 40))
     assert pool_sizes == [backend.MAX_WORKERS]
 
 
-@pytest.mark.parametrize("length", [1, BLOCK, 3 * BLOCK + 1])
+# grid lengths as (whole blocks, extra rows)
+@pytest.mark.parametrize("blocks, extra", [(1, -1), (1, 0), (1, 1), (2, 3)])
+@pytest.mark.parametrize("n_total, m_excited", [(2, 1), (9, 4), (24, 12)])
+def test_blocks_hold_the_budgets_rows(monkeypatch, pool_sizes, n_total, m_excited, blocks, extra):
+    # a grid of BLOCK_BYTES // (16 (M'+1)) rows is one block, one row more is two
+    report_cpus(monkeypatch, 2)
+    inputs = table_arrays(ModelSpec(n_total, m_excited))
+    length = blocks * block_rows(inputs) + extra
+    _assert_rows_match_single_row_calls(inputs, length)
+    assert pool_sizes == ([] if length <= block_rows(inputs) else [2])
+
+
+@pytest.mark.parametrize("length", [1, 8192, 24577])
 @pytest.mark.parametrize("n_total, m_excited", [(24, 12), (80, 40)])
 def test_rows_do_not_depend_on_worker_count(monkeypatch, pool_sizes, n_total, m_excited, length):
     inputs = table_arrays(ModelSpec(n_total, m_excited))
     taus = np.random.default_rng(length).uniform(-20.0, 20.0, length)
-    blocks = -(-length // BLOCK)
+    blocks = -(-length // block_rows(inputs))
     results = {}
     for cpus in (1, 2, 64):
         report_cpus(monkeypatch, cpus)
@@ -164,7 +195,8 @@ def test_concurrent_callers_under_fast_thread_switching(monkeypatch):
     # four callers with two workers each, switching threads every microsecond
     report_cpus(monkeypatch, 64)
     inputs = table_arrays(ModelSpec(24, 12))
-    grids = [np.random.default_rng(seed).uniform(-20.0, 20.0, 3 * BLOCK + 1) for seed in range(4)]
+    length = 3 * block_rows(inputs) + 1
+    grids = [np.random.default_rng(seed).uniform(-20.0, 20.0, length) for seed in range(4)]
     expected = [backend.schmidt_entropy_grid(*inputs, taus) for taus in grids]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -181,7 +213,7 @@ def test_concurrent_callers_under_fast_thread_switching(monkeypatch):
 
 def test_cpu_count_fallback(monkeypatch, pool_sizes):
     inputs = table_arrays(ModelSpec(9, 4))
-    taus = np.random.default_rng(4).uniform(-20.0, 20.0, 2 * BLOCK + 5)
+    taus = np.random.default_rng(4).uniform(-20.0, 20.0, 2 * block_rows(inputs) + 5)
     report_cpus(monkeypatch, 1)
     expected = backend.schmidt_entropy_grid(*inputs, taus)
     monkeypatch.delattr(os, "sched_getaffinity")
@@ -203,7 +235,7 @@ def test_worker_exception_raised_in_caller(monkeypatch, pool_sizes):
     report_cpus(monkeypatch, 2)
     coeffs, phases, degeneracy = table_arrays(ModelSpec(9, 4))
     malformed = np.ones((coeffs.shape[0] + 1, coeffs.shape[1]))
-    taus = np.linspace(0.0, 1.0, 3 * BLOCK)
+    taus = np.linspace(0.0, 1.0, 3 * block_rows((coeffs, phases)))
     with pytest.raises(ValueError):
         backend.schmidt_entropy_grid(malformed, phases, degeneracy, taus)
     assert pool_sizes == [2]
@@ -212,7 +244,7 @@ def test_worker_exception_raised_in_caller(monkeypatch, pool_sizes):
 def test_overflow_in_worker_is_silent_and_rejected(monkeypatch, pool_sizes):
     # numpy's error state is per thread: each worker must set its own
     report_cpus(monkeypatch, 2)
-    taus = np.linspace(0.0, 1.0, 2 * BLOCK + 1)
+    taus = np.linspace(0.0, 1.0, 2 * block_rows(table_arrays(ModelSpec(9, 4))) + 1)
     taus[[10, -10]] = 1e308
     with warnings.catch_warnings(), pytest.raises(NormalizationError):
         warnings.simplefilter("error")
@@ -220,14 +252,51 @@ def test_overflow_in_worker_is_silent_and_rejected(monkeypatch, pool_sizes):
     assert pool_sizes == [2]
 
 
-@pytest.mark.parametrize("length", [BLOCK + 1, 2 * BLOCK + 1])
+@pytest.mark.parametrize("length", [8193, 16385])
 @pytest.mark.parametrize("n_total, m_excited", [(80, 40), (200, 100)])
 def test_no_short_trailing_block(n_total, m_excited, length):
     # With M'+1 >= 32 a block of a few rows can take a BLAS kernel that rounds
     # unlike the one a full block takes; equal blocks keep every block long.
     inputs = table_arrays(ModelSpec(n_total, m_excited))
-    taus = np.random.default_rng(3).uniform(-20.0, 20.0, 3 * BLOCK)
+    taus = np.random.default_rng(3).uniform(-20.0, 20.0, 24576)
     full_probs, full_entropies = backend.schmidt_entropy_grid(*inputs, taus)
     probs, entropies = backend.schmidt_entropy_grid(*inputs, taus[:length])
     assert np.array_equal(probs, full_probs[:length])
     assert np.array_equal(entropies, full_entropies[:length])
+
+
+# M'+1 = 33, 41 and 61
+@pytest.mark.parametrize("n_total, m_excited", [(64, 32), (80, 40), (120, 60)])
+def test_grids_past_the_small_matrix_line_match_a_long_grid(n_total, m_excited):
+    # A grid of more than 600 / (M'+1) rows takes OpenBLAS's general kernel
+    # and rounds like the same rows of a long multi-block grid; a shorter one
+    # may not (see the kernel's docstring).  One or two blocks and a row are
+    # cut into equal blocks, not into full blocks and a one-row block.
+    inputs = table_arrays(ModelSpec(n_total, m_excited))
+    taus = np.random.default_rng(5).uniform(-20.0, 20.0, 40_000)
+    full_probs, full_entropies = backend.schmidt_entropy_grid(*inputs, taus)
+    line = 600 // inputs[1].size
+    block = block_rows(inputs)
+    for length in (line + 1, line + 2, 50, block + 1, 2 * block + 1, 5000):
+        probs, entropies = backend.schmidt_entropy_grid(*inputs, taus[:length])
+        assert np.array_equal(probs, full_probs[:length]), length
+        assert np.array_equal(entropies, full_entropies[:length]), length
+
+
+def test_scan_verify_and_figures_start_no_pool(monkeypatch, pool_sizes, tmp_path):
+    # their grids (2049 and 4097 points at M'+1 = 2, zoom grids, 64 verify
+    # samples) each fit one block, as does an 8192-point grid at M'+1 = 2, so
+    # a second CPU starts no thread
+    report_cpus(monkeypatch, 2)
+    entropy_grid(ModelSpec(2, 1), np.linspace(0.0, 1.0, 8192))
+    magic_number_scan(30)
+    assert verify_closed_form(ModelSpec(13, 6), np.linspace(0.0, 4.0 * np.pi, 64)).passed
+    assert main(["figures", "--out-dir", str(tmp_path)]) == 0
+    assert pool_sizes == []
+
+
+def test_export_evolve_grid_starts_a_pool(monkeypatch, pool_sizes):
+    # the 60000-step evolve grid at (24, 12) is dealt to two workers
+    report_cpus(monkeypatch, 2)
+    entropy_grid(ModelSpec(24, 12), np.linspace(0.0, 2.0 * np.pi / 24, 60_000))
+    assert pool_sizes == [2]

@@ -211,6 +211,31 @@ class TestKrylovPropagate:
         assert vectors.shape[0] == theta.size == dimension
         assert vectors.dtype == np.float64
 
+    @pytest.mark.parametrize("n,m", [(8, 4), (10, 5)])
+    def test_steeply_falling_start_keeps_the_basis_orthonormal(self, n, m):
+        # Eigen-weights 1, 1e-3, 1e-6, ... over the distinct eigenvalues make
+        # beta fall by orders of magnitude from step to step.  A single
+        # Gram-Schmidt pass then loses orthogonality completely and the loop
+        # runs on to the full dimension; the second pass holds it.
+        h = build_sector_hamiltonian(n, m)
+        eigenvalues, eigenvectors = np.linalg.eigh(dense_sector_matrix(n, m))
+        levels = np.unique(np.round(eigenvalues, 8))
+        rng = np.random.default_rng(n)
+        start = np.zeros(eigenvalues.size)
+        for k, level in enumerate(levels):
+            (members,) = np.nonzero(np.abs(eigenvalues - level) < 1e-6)
+            part = eigenvectors[:, members] @ rng.normal(size=members.size)
+            start += 1e-3**k * part / np.linalg.norm(part)
+        start /= np.linalg.norm(start)
+        vectors, theta, rotation = oracle._krylov_spectrum(
+            h.apply, math.sqrt(h.neighbours.size), start
+        )
+        assert np.max(np.abs(vectors @ vectors.T - np.eye(len(vectors)))) < 1e-12
+        for tau in (0.37, 2.9, 11.5):
+            evolved = (np.exp(-1j * tau * theta) * rotation[0]) @ rotation.T @ vectors
+            reference = eigenvectors @ (np.exp(-1j * eigenvalues * tau) * (eigenvectors.T @ start))
+            assert np.max(np.abs(evolved - reference)) < 1e-12
+
     @pytest.mark.parametrize("tau", [math.nan, math.inf, -math.inf])
     def test_non_finite_tau_rejected(self, tau):
         with pytest.raises(ValueError, match="tau"):
