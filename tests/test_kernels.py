@@ -80,6 +80,37 @@ def block_rows(inputs):
     return max(1, backend.BLOCK_BYTES // (16 * inputs[1].size))
 
 
+# Grid lengths in the parametrizations below are written for blocks of
+# LENGTH_UNIT rows: 8193 is a block and a row, 8191 a block less one row.
+LENGTH_UNIT = 8192
+
+
+def grid_length(inputs, length):
+    """``length``, written in LENGTH_UNIT-row blocks, in these inputs'
+    blocks: the nearest whole number of units becomes that many blocks."""
+    blocks = round(length / LENGTH_UNIT)
+    return blocks * block_rows(inputs) + length - blocks * LENGTH_UNIT
+
+
+def report_cpus(monkeypatch, count):
+    """Make the kernel see ``count`` available CPUs."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+
+
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """The worker count of every thread pool the kernel starts."""
+    sizes = []
+
+    class RecordedPool(ThreadPoolExecutor):
+        def __init__(self, max_workers, *args, **kwargs):
+            sizes.append(max_workers)
+            super().__init__(max_workers, *args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", RecordedPool)
+    return sizes
+
+
 def _assert_rows_match_single_row_calls(inputs, length):
     taus = np.random.default_rng(length).uniform(-20.0, 20.0, length)
     probs, entropies = backend.schmidt_entropy_grid(*inputs, taus)
@@ -102,8 +133,13 @@ def _assert_rows_match_single_row_calls(inputs, length):
 
 @pytest.mark.parametrize("length", [1, 8191, 8192, 8193, 16387])
 @pytest.mark.parametrize("n_total, m_excited", [(2, 1), (9, 4), (24, 12)])
-def test_block_boundaries_do_not_change_rows(n_total, m_excited, length):
-    _assert_rows_match_single_row_calls(table_arrays(ModelSpec(n_total, m_excited)), length)
+def test_block_boundaries_do_not_change_rows(monkeypatch, pool_sizes, n_total, m_excited, length):
+    # a grid of one block's rows runs in the calling thread, one row more is two blocks
+    report_cpus(monkeypatch, 2)
+    inputs = table_arrays(ModelSpec(n_total, m_excited))
+    length = grid_length(inputs, length)
+    _assert_rows_match_single_row_calls(inputs, length)
+    assert pool_sizes == ([] if length <= block_rows(inputs) else [2])
 
 
 def _assert_memory_is_output_plus_block_buffers(spec):
@@ -135,47 +171,17 @@ def test_memory_is_output_plus_one_block():
         _assert_memory_is_output_plus_block_buffers(spec)
 
 
-def report_cpus(monkeypatch, count):
-    """Make the kernel see ``count`` available CPUs."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
-
-
-@pytest.fixture
-def pool_sizes(monkeypatch):
-    """The worker count of every thread pool the kernel starts."""
-    sizes = []
-
-    class RecordedPool(ThreadPoolExecutor):
-        def __init__(self, max_workers, *args, **kwargs):
-            sizes.append(max_workers)
-            super().__init__(max_workers, *args, **kwargs)
-
-    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", RecordedPool)
-    return sizes
-
-
 def test_memory_bound_holds_with_many_cpus(monkeypatch, pool_sizes):
     report_cpus(monkeypatch, 64)
     _assert_memory_is_output_plus_block_buffers(ModelSpec(80, 40))
     assert pool_sizes == [backend.MAX_WORKERS]
 
 
-# grid lengths as (whole blocks, extra rows)
-@pytest.mark.parametrize("blocks, extra", [(1, -1), (1, 0), (1, 1), (2, 3)])
-@pytest.mark.parametrize("n_total, m_excited", [(2, 1), (9, 4), (24, 12)])
-def test_blocks_hold_the_budgets_rows(monkeypatch, pool_sizes, n_total, m_excited, blocks, extra):
-    # a grid of BLOCK_BYTES // (16 (M'+1)) rows is one block, one row more is two
-    report_cpus(monkeypatch, 2)
-    inputs = table_arrays(ModelSpec(n_total, m_excited))
-    length = blocks * block_rows(inputs) + extra
-    _assert_rows_match_single_row_calls(inputs, length)
-    assert pool_sizes == ([] if length <= block_rows(inputs) else [2])
-
-
 @pytest.mark.parametrize("length", [1, 8192, 24577])
 @pytest.mark.parametrize("n_total, m_excited", [(24, 12), (80, 40)])
 def test_rows_do_not_depend_on_worker_count(monkeypatch, pool_sizes, n_total, m_excited, length):
     inputs = table_arrays(ModelSpec(n_total, m_excited))
+    length = grid_length(inputs, length)
     taus = np.random.default_rng(length).uniform(-20.0, 20.0, length)
     blocks = -(-length // block_rows(inputs))
     results = {}
@@ -258,7 +264,8 @@ def test_no_short_trailing_block(n_total, m_excited, length):
     # With M'+1 >= 32 a block of a few rows can take a BLAS kernel that rounds
     # unlike the one a full block takes; equal blocks keep every block long.
     inputs = table_arrays(ModelSpec(n_total, m_excited))
-    taus = np.random.default_rng(3).uniform(-20.0, 20.0, 24576)
+    length = grid_length(inputs, length)
+    taus = np.random.default_rng(3).uniform(-20.0, 20.0, 3 * block_rows(inputs))
     full_probs, full_entropies = backend.schmidt_entropy_grid(*inputs, taus)
     probs, entropies = backend.schmidt_entropy_grid(*inputs, taus[:length])
     assert np.array_equal(probs, full_probs[:length])
@@ -270,14 +277,12 @@ def test_no_short_trailing_block(n_total, m_excited, length):
 def test_grids_past_the_small_matrix_line_match_a_long_grid(n_total, m_excited):
     # A grid of more than 600 / (M'+1) rows takes OpenBLAS's general kernel
     # and rounds like the same rows of a long multi-block grid; a shorter one
-    # may not (see the kernel's docstring).  One or two blocks and a row are
-    # cut into equal blocks, not into full blocks and a one-row block.
+    # may not (see the kernel's docstring).
     inputs = table_arrays(ModelSpec(n_total, m_excited))
     taus = np.random.default_rng(5).uniform(-20.0, 20.0, 40_000)
     full_probs, full_entropies = backend.schmidt_entropy_grid(*inputs, taus)
     line = 600 // inputs[1].size
-    block = block_rows(inputs)
-    for length in (line + 1, line + 2, 50, block + 1, 2 * block + 1, 5000):
+    for length in (line + 1, line + 2, 50, 5000):
         probs, entropies = backend.schmidt_entropy_grid(*inputs, taus[:length])
         assert np.array_equal(probs, full_probs[:length]), length
         assert np.array_equal(entropies, full_entropies[:length]), length
