@@ -162,21 +162,29 @@ def _krylov_spectrum(product, frobenius: float, start: np.ndarray) -> tuple:
     """
     dim = start.size
     threshold = KRYLOV_BREAKDOWN * frobenius
-    vectors, alphas, betas = [start], [], []
+    # the vectors fill the rows of one array, whose capacity doubles when full
+    basis = np.empty((min(dim, 16), dim))
+    basis[0] = start
+    count, alphas, betas = 1, [], []
     while True:
-        subspace = np.array(vectors)
-        residual = product(vectors[-1])
-        overlap = np.zeros(len(vectors))
+        subspace = basis[:count]
+        residual = product(subspace[-1])
+        overlap = np.zeros(count)
         for _ in range(2):
             step = subspace @ residual
             residual = residual - step @ subspace
             overlap += step
         alphas.append(overlap[-1])
         beta = float(np.linalg.norm(residual))
-        if len(vectors) == dim or beta <= threshold:
+        if count == dim or beta <= threshold:
             break
         betas.append(beta)
-        vectors.append(residual / beta)
+        if count == len(basis):
+            grown = np.empty((min(dim, 2 * count), dim))
+            grown[:count] = basis
+            basis = grown
+        basis[count] = residual / beta
+        count += 1
     theta, rotation = np.linalg.eigh(np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1))
     return subspace, theta, rotation
 
