@@ -259,7 +259,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         raise UsageError(f"m must lie in 0..{n_max}, got {args.m}")
     if n_max > SECTOR_SITE_BUDGET:
         raise UsageError(
-            f"verify is limited to n-max <= {SECTOR_SITE_BUDGET} (sector hop-table budget)"
+            f"verify is limited to n-max <= {SECTOR_SITE_BUDGET} (sector budget)"
         )
     pairs = []
     for n in range(2, n_max + 1):
@@ -270,7 +270,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if not pairs:
         raise UsageError(f"no (N, M) sectors to verify for m={args.m}, n-max={n_max}")
 
-    # part of the stdout contract: kept byte-stable although the oracle holds a hop table
+    # part of the stdout contract: kept byte-stable although the oracle holds a lowering table
     lines = ["closed-form verification against the dense sector Hamiltonian"]
     all_passed = True
     for n, m in pairs:

@@ -1,23 +1,32 @@
-"""Brute-force verification path: excitation-sector Hamiltonians as hop
-tables, exact propagation in the start state's Krylov subspace, and Schmidt
-spectra from the block-diagonal reduced density.
+"""Brute-force verification path: excitation-sector Hamiltonians as
+lowering tables, exact propagation in the start state's Krylov subspace, and
+Schmidt spectra from the block-diagonal reduced density.
 
-A sector Hamiltonian is held matrix-free, as a table with one row per basis
-state listing the states one hop away; the hop matrix is 0/1, so H v sums
-the neighbours' entries of v, in O(d M(N-M)) time and memory where a dense
-d x d matrix would take O(d^2).  Propagation runs real Lanczos on that
-product, once from the real and once from the imaginary part of the start
-state (a zero part is skipped), until the residual vanishes, so each cyclic
-subspace is invariant and exp(-i H tau) acts on it exactly through one small
+With one hop term per unordered site pair, H = sum_{i != j} s+_i s-_j equals
+S+S- - sum_i s+_i s-_i, which is S+S- - M on the sector with M excitations
+(Lipkin, Meshkov & Glick, Nucl. Phys. 62, 188 (1965)).  The identity is
+exact on the whole sector and projects onto nothing.  A sector Hamiltonian
+is therefore held matrix-free as a lowering table, with one row per basis
+state listing the (M-1)-sector states that emptying one of its M occupied
+sites gives: S- v scatters each entry of v onto its row, S+ gathers the
+rows back, so H v takes O(d M) time and memory where a dense d x d matrix
+would take O(d^2).  Propagation runs real Lanczos on that product, once
+from the real and once from the imaginary part of the start state (a zero
+part is skipped), until the residual vanishes, so each cyclic subspace is
+invariant and exp(-i H tau) acts on it exactly through one small
 tridiagonal eigendecomposition.  The subspace is found from the Hamiltonian
 and the start vector alone: nothing sizes it from the model.  One call
-evolves to every time of a 1-d tau array at once.
+evolves to every time of a 1-d tau array at once, and a Hamiltonian keeps
+the Krylov spectra of the last start state it evolved, so a later call from
+the same state runs no Lanczos step.
 
 The reduced density of a sector state is block diagonal in the kept side's
 excitation count, because the Hamiltonian conserves excitation number.
 :func:`schmidt_eigenvalues` diagonalizes it block by block, for a whole stack
 of states per call, without forming the 2^M x 2^(N-M) coefficient matrix;
-it uses no permutation symmetry of the sites.
+it uses no permutation symmetry of the sites.  A basis keeps its block
+index maps per partition size, so repeated calls on one sector build them
+once.
 
 Everything here is rebuilt from the Hamiltonian itself, independently of
 the closed-form modules, so that :func:`verify_closed_form` can compare the
@@ -32,21 +41,29 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .model import ModelSpec
 
-# Hop-table budget: C(18, 9) = 48620 sector states.  The worst sector,
-# (18,9), verifies 64 samples in 1.1-1.8 s at 191 MiB peak RSS (one fresh
-# process, 2-vCPU Xeon, numpy 2.4.6); the whole `verify --n-max 18` takes
-# 5.1 s and 217 MiB.  Beyond 18 the (d, M, N-M) int64 hopped-pattern
-# temporary of the table build (148 MB at (20,10)) calls for a site-by-site
-# build.
-SECTOR_SITE_BUDGET = 18
+# Sector budget: C(24, 12) = 2704156 sector states.  The worst sector,
+# (24,12), verifies 64 samples in 90 s at 1028 MiB peak RSS, 8 samples in
+# 20 s at the same peak (one fresh process, 2-vCPU Xeon, numpy 2.4.6, one
+# BLAS thread).  Lanczos sets that peak: the 130 MB table, a 16-row basis of
+# 346 MB and the product's two d x M temporaries of 260 MB each.  (26,13)
+# would need about 4 GB.
+SECTOR_SITE_BUDGET = 24
 # Lanczos stops once its residual falls below this fraction of the
 # Hamiltonian's Frobenius norm, a bound on the spectral radius.
 KRYLOV_BREAKDOWN = 1e-13
+# verify_closed_form evolves, reduces and scores max(1, CHUNK_BYTES // (16 d))
+# samples at a time, so the evolved complex amplitudes it holds take at most
+# this many bytes whatever the sample count (one sample's d amplitudes, where
+# they take more).  Measured at 256 KiB, 512 KiB and 1 MiB: `verify --n-max 13`
+# peaked at 39.1, 39.8 and 40.8 MiB RSS, in 0.11 s each, and (18,9) took
+# 0.44-0.48 s at 50.9-52.0 MiB, so the smallest budget costs no time.
+CHUNK_BYTES = 1 << 18
 
 
 class BudgetExceededError(ValueError):
@@ -55,37 +72,60 @@ class BudgetExceededError(ValueError):
 
 @dataclass(frozen=True)
 class SectorBasis:
-    """Fixed-excitation-number basis; site j maps to bit j, patterns ascending."""
+    """Fixed-excitation-number basis; site j maps to bit j, patterns ascending.
+
+    ``patterns`` is a read-only int64 array; ``states`` holds the same
+    patterns as a tuple of Python ints, built on first access.
+    """
 
     n_total: int
     excitation_count: int
     # follows from (n_total, excitation_count), so equality skips it
-    states: tuple[int, ...] = field(compare=False)
+    patterns: np.ndarray = field(compare=False, repr=False)
+    # the Schmidt blocks per partition size, built on first use
+    _blocks: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+
+    @cached_property
+    def states(self) -> tuple[int, ...]:
+        return tuple(self.patterns.tolist())
 
 
 @dataclass(frozen=True, eq=False)
 class SectorHamiltonian:
-    """Hop Hamiltonian on a sector basis, in units of the coupling.
+    """H = S+S- - M on a sector basis, in units of the coupling.
 
-    ``neighbours`` has shape (d, M(N-M)): row s holds the indices of the
-    states one hop away from basis state s, so the 0/1 hop matrix has a one
-    at (s, t) for each t in row s.
+    ``lowering`` has shape (d, M): row s holds the (M-1)-sector indices of
+    basis state s with each of its occupied sites emptied, lowest site
+    first.  As the 0/1 matrix L with a one at (lowering[s, c], s), L is S-
+    from the sector to the (M-1) sector, and H = L^T L - M.
     """
 
     basis: SectorBasis
-    neighbours: np.ndarray
+    lowering: np.ndarray
+    # [start amplitudes, their Krylov spectra] of the last start state evolved
+    _krylov: list = field(default_factory=list, init=False, repr=False)
+
+    @property
+    def frobenius(self) -> float:
+        """Frobenius norm of H: each of its d rows holds M(N-M) unit entries."""
+        n_total, count = self.basis.n_total, self.basis.excitation_count
+        return math.sqrt(self.basis.patterns.size * count * (n_total - count))
 
     def apply(self, vector: np.ndarray) -> np.ndarray:
-        """H v for a length-d vector: each state sums its neighbours' entries."""
-        return vector[self.neighbours].sum(axis=1)
+        """H v for a length-d vector: L v scattered by the table, then L^T
+        gathered back.  Every (M-1)-sector state is reached, so L v has all
+        of its entries without a ``minlength``."""
+        count = self.lowering.shape[1]
+        lowered = np.bincount(self.lowering.ravel(), np.repeat(vector, count))
+        return lowered[self.lowering].sum(axis=1) - count * vector
 
     @property
     def matrix(self) -> np.ndarray:
-        """The dense d x d hop matrix, built from the table on each access."""
-        dim = self.neighbours.shape[0]
-        dense = np.zeros((dim, dim))
-        dense[np.arange(dim)[:, None], self.neighbours] = 1.0
-        return dense
+        """The dense d x d matrix L^T L - M, built from the table on each access."""
+        dim, count = self.lowering.shape
+        lowering = np.zeros((self.lowering.max(initial=-1) + 1, dim))
+        lowering[self.lowering, np.arange(dim)[:, None]] = 1.0
+        return lowering.T @ lowering - count * np.eye(dim)
 
     def eigensystem(self) -> tuple[np.ndarray, np.ndarray]:
         """(eigenvalues, eigenvectors) of the real symmetric matrix."""
@@ -113,38 +153,41 @@ def sector_basis(n_total: int, excitation_count: int) -> SectorBasis:
     for site in range(n_total):
         for k in range(min(site + 1, excitation_count), 0, -1):
             patterns[k] = np.concatenate((patterns[k], patterns[k - 1] | (1 << site)))
-    return SectorBasis(n_total, excitation_count, tuple(patterns[excitation_count].tolist()))
+    patterns[excitation_count].flags.writeable = False
+    return SectorBasis(n_total, excitation_count, patterns[excitation_count])
 
 
 def build_sector_hamiltonian(n_total: int, excitations: int) -> SectorHamiltonian:
-    """XY hop Hamiltonian restricted to a fixed excitation sector.
+    """XY hop Hamiltonian restricted to a fixed excitation sector, as S+S- - M.
 
     Matrix element 1 (in units of the coupling) between any two basis states
     that differ by moving a single excitation between two sites; excitation
-    number is conserved, the diagonal is zero.  Each state has M occupied
-    and N-M empty sites, so M(N-M) neighbours: row s of the read-only int32
-    table lists them, ordered by the occupied site, then the empty one.
+    number is conserved, the diagonal is zero.  Two such states share one
+    (M-1)-sector state, and each state has M of them, so L^T L has those
+    ones off the diagonal and M on it.  The read-only int32 table is built
+    with M ``searchsorted`` calls into the (M-1)-sector basis, each emptying
+    the lowest occupied site not yet emptied.
     """
     if n_total > SECTOR_SITE_BUDGET:
         raise BudgetExceededError(
             f"n_total = {n_total} exceeds the sector budget of {SECTOR_SITE_BUDGET}"
         )
     basis = sector_basis(n_total, excitations)
-    patterns = np.array(basis.states, dtype=np.int64)
-    occupied = (patterns[:, None] >> np.arange(n_total) & 1).astype(bool)
-    # nonzero runs row by row: each state's M occupied, then N-M empty sites
-    filled = np.nonzero(occupied)[1].reshape(patterns.size, excitations)
-    empty = np.nonzero(~occupied)[1].reshape(patterns.size, n_total - excitations)
-    # an excitation hops from each occupied site i to each empty site j
-    hopped = patterns[:, None, None] ^ (1 << filled)[:, :, None] ^ (1 << empty)[:, None, :]
-    neighbours = np.searchsorted(patterns, hopped.reshape(patterns.size, -1)).astype(np.int32)
-    neighbours.flags.writeable = False
-    return SectorHamiltonian(basis, neighbours)
+    lowering = np.empty((basis.patterns.size, excitations), dtype=np.int32)
+    if excitations:
+        lowered = sector_basis(n_total, excitations - 1).patterns
+        rest = basis.patterns
+        for column in range(excitations):
+            lowest = rest & -rest
+            rest = rest ^ lowest
+            lowering[:, column] = np.searchsorted(lowered, basis.patterns ^ lowest)
+    lowering.flags.writeable = False
+    return SectorHamiltonian(basis, lowering)
 
 
 def initial_sector_state(basis: SectorBasis) -> SectorState:
     """Product state with the first ``basis.excitation_count`` sites excited."""
-    amplitudes = np.zeros(len(basis.states), dtype=complex)
+    amplitudes = np.zeros(basis.patterns.size, dtype=complex)
     amplitudes[0] = 1.0  # (1 << count) - 1 is the smallest pattern
     return SectorState(basis, amplitudes)
 
@@ -189,6 +232,24 @@ def _krylov_spectrum(product, frobenius: float, start: np.ndarray) -> tuple:
     return subspace, theta, rotation
 
 
+def _krylov_parts(h: SectorHamiltonian, amplitudes: np.ndarray) -> list:
+    """(scale, Q, Theta, S) for each nonzero part x of the start amplitudes:
+    scale is |x|, times i for the imaginary part, and the rest is
+    :func:`_krylov_spectrum` of x / |x|.  ``h`` keeps the parts of the last
+    start amplitudes it was given and hands them out again while the
+    amplitudes are unchanged."""
+    cached = h._krylov
+    if cached and np.array_equal(cached[0], amplitudes):
+        return cached[1]
+    parts = []
+    for unit, part in ((1.0, amplitudes.real), (1j, amplitudes.imag)):
+        norm = float(np.linalg.norm(part))
+        if norm != 0.0:
+            parts.append((unit * norm, *_krylov_spectrum(h.apply, h.frobenius, part / norm)))
+    cached[:] = [amplitudes.copy(), parts]
+    return parts
+
+
 def propagate(h: SectorHamiltonian, initial: SectorState, tau) -> SectorState:
     """exp(-i H tau) applied in the Krylov subspace of the start state.
 
@@ -196,10 +257,12 @@ def propagate(h: SectorHamiltonian, initial: SectorState, tau) -> SectorState:
     ``tau.shape + (d,)``.  H is real, so U(a + ib) = Ua + iUb: each nonzero
     part x of the start state takes one real :func:`_krylov_spectrum` pass,
     and psi(tau) sums |x| (exp(-i tau Theta) * S[0, :]) S^T Q over the parts,
-    times i for the imaginary one.  Each Lanczos step applies the hop table;
-    the 0/1 hop matrix's Frobenius norm is the square root of the table's
-    size.  Every time then costs O(d k) for a k-vector subspace.  A zero
-    start state evolves to the zero state.  Raises ValueError for a
+    times i for the imaginary one.  Each Lanczos step applies the lowering
+    table twice.  The passes are kept on ``h`` for the next call from the
+    same start amplitudes, so a run of calls over slices of one time array
+    runs Lanczos once.  Every time then costs O(d k) for a k-vector
+    subspace: the complex weights meet the real Q in two real products.  A
+    zero start state evolves to the zero state.  Raises ValueError for a
     non-finite tau or a start state with a non-finite amplitude.
     """
     if h.basis != initial.basis:
@@ -211,15 +274,40 @@ def propagate(h: SectorHamiltonian, initial: SectorState, tau) -> SectorState:
     if not np.isfinite(amplitudes).all():
         raise ValueError("start state has a non-finite amplitude")
     evolved = np.zeros(taus.shape + amplitudes.shape, dtype=complex)
-    frobenius = math.sqrt(h.neighbours.size)
-    for unit, part in ((1.0, amplitudes.real), (1j, amplitudes.imag)):
-        norm = float(np.linalg.norm(part))
-        if norm == 0.0:
-            continue
-        vectors, theta, rotation = _krylov_spectrum(h.apply, frobenius, part / norm)
+    for scale, vectors, theta, rotation in _krylov_parts(h, amplitudes):
         phased = np.exp(-1j * np.multiply.outer(taus, theta)) * rotation[0]
-        evolved += (unit * norm * (phased @ rotation.T)) @ vectors
+        weights = scale * (phased @ rotation.T)
+        evolved.real += weights.real @ vectors
+        evolved.imag += weights.imag @ vectors
     return SectorState(h.basis, evolved)
+
+
+def _schmidt_blocks(basis: SectorBasis, partition_size: int) -> list:
+    """(gather, shape) per occurring kept-side excitation count k, on the
+    smaller side of the cut: the amplitudes at ``gather`` form block k,
+    rows indexed by the kept pattern and columns by the traced one.  Every
+    kept pattern with k excitations meets every traced one with M - k, so
+    the block is full and ``gather`` lists each of its members once.  Built
+    once per basis and partition size."""
+    if partition_size in basis._blocks:
+        return basis._blocks[partition_size]
+    patterns = basis.patterns
+    kept, traced = patterns & ((1 << partition_size) - 1), patterns >> partition_size
+    kept_sites = min(partition_size, basis.n_total - partition_size)
+    if partition_size > kept_sites:
+        kept, traced = traced, kept
+    kept_count = (kept[:, None] >> np.arange(kept_sites) & 1).sum(axis=1)
+    blocks = []
+    # the occurring counts, by bincount: a bare np.unique imports numpy.ma
+    for k in np.flatnonzero(np.bincount(kept_count)):
+        members = np.flatnonzero(kept_count == k)
+        rows, row = np.unique(kept[members], return_inverse=True)
+        cols, col = np.unique(traced[members], return_inverse=True)
+        gather = np.empty_like(members)
+        gather[row * cols.size + col] = members
+        blocks.append((gather, (rows.size, cols.size)))
+    basis._blocks[partition_size] = blocks
+    return blocks
 
 
 def schmidt_eigenvalues(state: SectorState, partition_size: int) -> np.ndarray:
@@ -232,11 +320,12 @@ def schmidt_eigenvalues(state: SectorState, partition_size: int) -> np.ndarray:
     add zeros).  Excitation number is conserved, so rho is block diagonal in
     the kept side's excitation count k: block k is C_k C_k^dagger, where C_k
     holds the amplitudes whose kept half has k excitations, rows indexed by
-    the kept pattern and columns by the traced one.  The split and the block
-    index maps are built once per call; each block then takes one batched
-    product and one batched ``eigvalsh``.  For a pure state both sides share
-    the nonzero spectrum, so tracing to the smaller subsystem is free
-    accuracy and memory.  Raises ValueError for a non-finite amplitude.
+    the kept pattern and columns by the traced one.  The basis keeps the
+    blocks' index maps (:func:`_schmidt_blocks`); each block then takes one
+    gather, one batched product and one batched ``eigvalsh``.  For a pure
+    state both sides share the nonzero spectrum, so tracing to the smaller
+    subsystem is free accuracy and memory.  Raises ValueError for a
+    non-finite amplitude.
     """
     basis = state.basis
     n_total = basis.n_total
@@ -245,27 +334,16 @@ def schmidt_eigenvalues(state: SectorState, partition_size: int) -> np.ndarray:
             f"partition size must lie in 0..{n_total}, got {partition_size}"
         )
     amplitudes = np.asarray(state.amplitudes, dtype=complex)
-    if amplitudes.ndim not in (1, 2) or amplitudes.shape[-1] != len(basis.states):
+    if amplitudes.ndim not in (1, 2) or amplitudes.shape[-1] != basis.patterns.size:
         raise ValueError(
             f"amplitudes of shape {amplitudes.shape} do not fit a basis of "
-            f"{len(basis.states)} states"
+            f"{basis.patterns.size} states"
         )
     if not np.isfinite(amplitudes).all():
         raise ValueError("sector state has a non-finite amplitude")
-    patterns = np.array(basis.states, dtype=np.int64)
-    kept, traced = patterns & ((1 << partition_size) - 1), patterns >> partition_size
-    kept_sites = min(partition_size, n_total - partition_size)
-    if partition_size > kept_sites:
-        kept, traced = traced, kept
-    kept_count = (kept[:, None] >> np.arange(kept_sites) & 1).sum(axis=1)
     spectra = []
-    # the occurring counts, by bincount: a bare np.unique imports numpy.ma
-    for k in np.flatnonzero(np.bincount(kept_count)):
-        members = np.flatnonzero(kept_count == k)
-        rows, row = np.unique(kept[members], return_inverse=True)
-        cols, col = np.unique(traced[members], return_inverse=True)
-        block = np.zeros(amplitudes.shape[:-1] + (rows.size, cols.size), dtype=complex)
-        block[..., row, col] = amplitudes[..., members]
+    for gather, shape in _schmidt_blocks(basis, partition_size):
+        block = amplitudes[..., gather].reshape(amplitudes.shape[:-1] + shape)
         spectra.append(np.linalg.eigvalsh(block @ block.conj().swapaxes(-1, -2)))
     return np.sort(np.concatenate(spectra, axis=-1), axis=-1)[..., ::-1]
 
@@ -311,6 +389,12 @@ class VerificationReport:
         )
 
 
+def _zero_padded(rows: np.ndarray, width: int) -> np.ndarray:
+    padded = np.zeros((rows.shape[0], width))
+    padded[:, : rows.shape[1]] = rows
+    return padded
+
+
 def verify_closed_form(spec: ModelSpec, tau_samples) -> VerificationReport:
     """Compare closed-form Schmidt spectra and entropies against the sector
     pipeline at each sample time.
@@ -318,13 +402,17 @@ def verify_closed_form(spec: ModelSpec, tau_samples) -> VerificationReport:
     Both closed-form paths are checked, each with all samples in one call:
     the complex reference path (:func:`amplitudes_at`, :func:`schmidt_spectrum`,
     :func:`entropy`) and the real, blocked kernel path (:func:`entropy_grid`).
-    The oracle builds the sector basis once, for the hop table and the
-    start state, and evolves, reduces and scores every sample in one
-    :func:`propagate`, one :func:`schmidt_eigenvalues` and one
-    :func:`von_neumann_entropy` call; it never forms a d x d matrix.
-    Each closed-form spectrum is zero-padded to the oracle's spectrum length
-    and compared with it in descending order.  Raises ValueError unless the
-    samples are finite and non-empty; a NaN deviation fails the report.
+    The oracle builds the sector basis once, for the lowering table and the
+    start state, and never forms a d x d matrix.  It evolves, reduces and
+    scores the samples a chunk at a time, max(1, ``CHUNK_BYTES`` // (16 d))
+    samples per :func:`propagate`, :func:`schmidt_eigenvalues` and
+    :func:`von_neumann_entropy` call, so its evolved amplitudes stay within
+    that budget whatever the sample count; Lanczos runs in the first
+    :func:`propagate` call only, and the Schmidt index maps are built in the
+    first :func:`schmidt_eigenvalues` call only.  Each chunk's spectra are
+    zero-padded to a common length and compared in descending order.
+    Raises ValueError unless the samples are finite and non-empty; a NaN
+    deviation fails the report.
     """
     from .entanglement import entropy, entropy_grid, exact_table, schmidt_spectrum
     from .evolution import amplitudes_at
@@ -332,26 +420,35 @@ def verify_closed_form(spec: ModelSpec, tau_samples) -> VerificationReport:
     taus = np.atleast_1d(np.asarray(tau_samples, dtype=float))
     if taus.size == 0 or not np.isfinite(taus).all():
         raise ValueError("tau samples must be finite and non-empty")
-    hamiltonian = build_sector_hamiltonian(spec.n_total, spec.m_excited)
-    evolved = propagate(hamiltonian, initial_sector_state(hamiltonian.basis), taus)
-    oracle_eig = schmidt_eigenvalues(evolved, spec.m_excited)
-    oracle_entropies = von_neumann_entropy(oracle_eig)
-    padded = np.zeros((taus.size, max(oracle_eig.shape[1], spec.m_prime + 1)))
-    padded[:, : oracle_eig.shape[1]] = oracle_eig
     # built once: the kernel path below reads the same table
     reference = schmidt_spectrum(amplitudes_at(spec, exact_table(spec), taus))
     kernel_probs, kernel_entropies = entropy_grid(spec, taus)
-    spectrum_deviations = []
-    entropy_deviations = []
-    for probs, entropies in (
-        (reference.probabilities, entropy(reference)),
-        (kernel_probs, kernel_entropies),
-    ):
-        closed = np.zeros_like(padded)
-        closed[:, : probs.shape[1]] = np.sort(probs, axis=1)[:, ::-1]
-        spectrum_deviations.append(np.max(np.abs(closed - padded)))
-        entropy_deviations.append(np.max(np.abs(entropies - oracle_entropies)))
-    # np.max propagates NaN, where the builtin max would drop it
+    closed_forms = [
+        (np.sort(probs, axis=1)[:, ::-1], entropies)
+        for probs, entropies in (
+            (reference.probabilities, entropy(reference)),
+            (kernel_probs, kernel_entropies),
+        )
+    ]
+    hamiltonian = build_sector_hamiltonian(spec.n_total, spec.m_excited)
+    initial = initial_sector_state(hamiltonian.basis)
+    step = max(1, CHUNK_BYTES // (16 * hamiltonian.basis.patterns.size))
+    # np.maximum propagates NaN, where the builtin max would drop it
+    spectrum_deviation = entropy_deviation = 0.0
+    for first in range(0, taus.size, step):
+        chunk = slice(first, first + step)
+        oracle_eig = schmidt_eigenvalues(
+            propagate(hamiltonian, initial, taus[chunk]), spec.m_excited
+        )
+        oracle_entropies = von_neumann_entropy(oracle_eig)
+        width = max(oracle_eig.shape[1], spec.m_prime + 1)
+        for spectra, entropies in closed_forms:
+            spectrum_deviation = np.maximum(spectrum_deviation, np.max(np.abs(
+                _zero_padded(spectra[chunk], width) - _zero_padded(oracle_eig, width)
+            )))
+            entropy_deviation = np.maximum(
+                entropy_deviation, np.max(np.abs(entropies[chunk] - oracle_entropies))
+            )
     return VerificationReport(
-        spec, taus.size, float(np.max(spectrum_deviations)), float(np.max(entropy_deviations))
+        spec, taus.size, float(spectrum_deviation), float(entropy_deviation)
     )

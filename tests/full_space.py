@@ -1,11 +1,12 @@
-"""Dense references for the tests: the hop Hamiltonian on the full 2^N
-space from explicit Pauli tensor products, exact propagation of the initial
+"""References for the tests: the hop Hamiltonian on the full 2^N space
+from explicit Pauli tensor products, exact propagation of the initial
 product state on the whole space, the check that the sector restriction
-loses nothing, and the d x d sector hop matrix built directly from site
-pairs.
+loses nothing, the d x d sector hop matrix built directly from site pairs,
+and the sector hop table, which lists each state's M(N-M) neighbours.
 
-No production path needs a dense matrix; the tests hold the sector hop
-table and its propagation to these.
+No production path needs a dense matrix or a hop table; the tests hold the
+sector lowering table (H = S+S- - M), its product and its propagation to
+these.
 """
 
 from __future__ import annotations
@@ -52,8 +53,7 @@ def full_space_hamiltonian(n_total: int) -> np.ndarray:
 def dense_sector_matrix(n_total: int, excitations: int) -> np.ndarray:
     """The d x d sector hop matrix, filled from every ordered site pair whose
     first site is occupied and second empty, independently of the hop table."""
-    basis = sector_basis(n_total, excitations)
-    patterns = np.array(basis.states, dtype=np.int64)
+    patterns = sector_basis(n_total, excitations).patterns
     # the N(N-1) ordered site pairs (i, j): an excitation hops from i to j
     pairs = np.array(list(itertools.permutations(range(n_total), 2)), dtype=np.int64)
     i, j = pairs.reshape(-1, 2).T
@@ -63,6 +63,22 @@ def dense_sector_matrix(n_total: int, excitations: int) -> np.ndarray:
     matrix = np.zeros((patterns.size, patterns.size))
     matrix[row, np.searchsorted(patterns, hopped)] = 1.0
     return matrix
+
+
+def hop_table(n_total: int, excitations: int) -> np.ndarray:
+    """The (d, M(N-M)) sector hop table: row s lists the states one hop from
+    basis state s, ordered by the occupied site, then the empty one, so the
+    hop matrix's product is ``vector[table].sum(axis=1)``.  Built at once from
+    the (d, M, N-M) int64 array of hopped patterns, independently of the
+    lowering table."""
+    patterns = sector_basis(n_total, excitations).patterns
+    occupied = (patterns[:, None] >> np.arange(n_total) & 1).astype(bool)
+    # nonzero runs row by row: each state's M occupied, then N-M empty sites
+    filled = np.nonzero(occupied)[1].reshape(patterns.size, excitations)
+    empty = np.nonzero(~occupied)[1].reshape(patterns.size, n_total - excitations)
+    # an excitation hops from each occupied site i to each empty site j
+    hopped = patterns[:, None, None] ^ (1 << filled)[:, :, None] ^ (1 << empty)[:, None, :]
+    return np.searchsorted(patterns, hopped.reshape(patterns.size, -1))
 
 
 def full_space_propagate(n_total: int, m_excited: int, tau) -> np.ndarray:
@@ -96,5 +112,5 @@ def full_space_crosscheck(n_total: int, m_excited: int, tau) -> float:
     hamiltonian = build_sector_hamiltonian(n_total, m_excited)
     sector = propagate(hamiltonian, initial_sector_state(hamiltonian.basis), tau)
     embedded = np.zeros_like(full)
-    embedded[..., list(sector.basis.states)] = sector.amplitudes
+    embedded[..., sector.basis.patterns] = sector.amplitudes
     return float(np.max(np.abs(full - embedded)))

@@ -261,7 +261,7 @@ def test_criterion_9_time_average_sum_rule():
 
 
 def test_criterion_10_oracle_reach():
-    # the largest balanced sectors the hop-table oracle reaches, seeded as verify seeds them
+    # the largest balanced sectors of the old hop-table budget, seeded as verify seeds them
     start = time.perf_counter()
     worst_p = worst_e = 0.0
     ok = True
@@ -276,6 +276,28 @@ def test_criterion_10_oracle_reach():
     report(
         10,
         "closed form vs sector hop Hamiltonian at (16,8) and (18,9)",
+        ok,
+        f"max|dP| = {worst_p:.2e}, max|dE| = {worst_e:.2e}, {elapsed:.1f}s",
+    )
+
+
+def test_criterion_11_oracle_reach_of_the_lowering_table():
+    # balanced sectors past the hop-table budget, seeded as verify seeds
+    # them; (24,12) is a manual run, see the README
+    start = time.perf_counter()
+    worst_p = worst_e = 0.0
+    ok = True
+    for n, m, samples in ((20, 10, 64), (22, 11, 8)):
+        taus = np.random.default_rng(1_000 * n + m).uniform(0.0, 4.0 * math.pi, samples)
+        rep = verify_closed_form(ModelSpec(n, m), taus)
+        ok &= rep.passed and rep.tolerance == 1e-9
+        worst_p = max(worst_p, rep.max_spectrum_deviation)
+        worst_e = max(worst_e, rep.max_entropy_deviation)
+    elapsed = time.perf_counter() - start
+    ok &= worst_p < 1e-9 and worst_e < 1e-9 and elapsed < 60.0
+    report(
+        11,
+        "closed form vs sector lowering table at (20,10), 64 samples, and (22,11), 8 samples",
         ok,
         f"max|dP| = {worst_p:.2e}, max|dE| = {worst_e:.2e}, {elapsed:.1f}s",
     )

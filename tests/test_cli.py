@@ -318,11 +318,11 @@ class TestVerify:
         assert "all sectors PASS" in text
 
     def test_budget_guard(self):
-        assert main(["verify", "--n-max", "20"]) == 2
+        assert main(["verify", "--n-max", "26"]) == 2
 
-    def test_budget_is_eighteen_sites(self, capsys):
-        assert main(["verify", "--n-max", "19"]) == 2
-        assert "n-max <= 18 (sector hop-table budget)" in capsys.readouterr().err
+    def test_budget_is_twenty_four_sites(self, capsys):
+        assert main(["verify", "--n-max", "25"]) == 2
+        assert "n-max <= 24 (sector budget)" in capsys.readouterr().err
 
     def test_restricted_to_balanced_sector(self, capsys):
         assert main(["verify", "--n-max", "10", "--m", "5"]) == 0

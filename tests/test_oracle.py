@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
@@ -12,6 +13,8 @@ from spinvdw import combinatorics, entanglement, evolution, oracle
 from spinvdw.combinatorics import BCoefficientTable, b_table
 from spinvdw.model import ModelSpec
 from spinvdw.oracle import (
+    CHUNK_BYTES,
+    SECTOR_SITE_BUDGET,
     BudgetExceededError,
     SectorHamiltonian,
     SectorState,
@@ -29,6 +32,7 @@ from full_space import (
     full_space_crosscheck,
     full_space_hamiltonian,
     full_space_propagate,
+    hop_table,
 )
 
 
@@ -44,6 +48,11 @@ class TestSectorBasis:
         assert sector_basis(63, 1).states[-1] == 1 << 62
         with pytest.raises(BudgetExceededError, match="63 sites"):
             sector_basis(64, 1)
+
+    def test_patterns_array_matches_states(self):
+        basis = sector_basis(9, 4)
+        assert basis.patterns.dtype == np.int64 and not basis.patterns.flags.writeable
+        assert basis.patterns.tolist() == list(basis.states)
 
     def test_matches_sorted_combinations(self):
         for n in range(15):
@@ -78,15 +87,32 @@ class TestSectorHamiltonian:
         assert np.all(h.sum(axis=0) == 2 * 3)
 
     def test_budget(self):
-        with pytest.raises(BudgetExceededError):
-            build_sector_hamiltonian(19, 1)
+        with pytest.raises(BudgetExceededError, match=f"budget of {SECTOR_SITE_BUDGET}"):
+            build_sector_hamiltonian(SECTOR_SITE_BUDGET + 1, 1)
 
     def test_table_shape(self):
-        # one row per state, one column per (occupied, empty) site pair
-        table = build_sector_hamiltonian(7, 3).neighbours
-        assert table.shape == (35, 3 * 4) and table.dtype == np.int32
+        # one row per state, one column per occupied site
+        table = build_sector_hamiltonian(7, 3).lowering
+        assert table.shape == (35, 3) and table.dtype == np.int32
         assert not table.flags.writeable
-        assert build_sector_hamiltonian(4, 0).neighbours.shape == (1, 0)
+        assert build_sector_hamiltonian(4, 0).lowering.shape == (1, 0)
+
+    def test_lowering_rows_empty_each_occupied_site(self):
+        # row s: the (M-1)-sector index of state s with each occupied site
+        # emptied, lowest site first, from a loop over the sites
+        for n in range(1, 9):
+            for m in range(1, n + 1):
+                lowered = sector_basis(n, m - 1).states
+                expected = [
+                    [lowered.index(state ^ (1 << site)) for site in range(n) if state >> site & 1]
+                    for state in sector_basis(n, m).states
+                ]
+                assert build_sector_hamiltonian(n, m).lowering.tolist() == expected, (n, m)
+
+    def test_frobenius_norm(self):
+        for n, m in ((7, 3), (6, 0), (6, 6), (9, 4)):
+            h = build_sector_hamiltonian(n, m)
+            assert h.frobenius == pytest.approx(np.linalg.norm(h.matrix), rel=1e-15)
 
     def test_matrix_matches_dense_reference(self):
         for n in range(13):
@@ -102,6 +128,26 @@ class TestSectorHamiltonian:
         vector /= np.linalg.norm(vector)
         assert np.max(np.abs(h.apply(vector) - dense_sector_matrix(n, m) @ vector)) < 1e-15
 
+    def test_hop_table_matches_dense_reference(self):
+        # the hop-table reference is itself held to the site-pair construction
+        for n in range(11):
+            for m in range(n + 1):
+                table = hop_table(n, m)
+                assert table.shape == (math.comb(n, m), m * (n - m))
+                matrix = np.zeros((table.shape[0],) * 2)
+                matrix[np.arange(table.shape[0])[:, None], table] = 1.0
+                assert np.array_equal(matrix, dense_sector_matrix(n, m)), (n, m)
+
+    def test_lowering_product_matches_hop_table(self):
+        # H = S+S- - M against the hop table's neighbour sums, every sector with N <= 14
+        for n in range(15):
+            for m in range(n + 1):
+                _assert_product_matches_hop_table(n, m)
+
+    @pytest.mark.parametrize("n,m", [(16, 8), (18, 9)])
+    def test_lowering_product_matches_hop_table_at_reach(self, n, m):
+        _assert_product_matches_hop_table(n, m)
+
     @pytest.mark.parametrize("n", range(2, 9))
     def test_matches_full_space_restriction(self, n):
         # the Pauli-product Hamiltonian is built independently of the sector code
@@ -110,6 +156,13 @@ class TestSectorHamiltonian:
             patterns = list(sector_basis(n, m).states)
             restricted = full[np.ix_(patterns, patterns)]
             assert np.array_equal(build_sector_hamiltonian(n, m).matrix, restricted)
+
+
+def _assert_product_matches_hop_table(n: int, m: int) -> None:
+    h = build_sector_hamiltonian(n, m)
+    vector = np.random.default_rng(100 * n + m).normal(size=h.basis.patterns.size)
+    reference = vector[hop_table(n, m)].sum(axis=1)
+    assert np.max(np.abs(h.apply(vector) - reference), initial=0.0) < 1e-13, (n, m)
 
 
 class TestPropagate:
@@ -205,8 +258,7 @@ class TestKrylovPropagate:
         # sector, so the product state's cyclic subspace closes that early
         h = build_sector_hamiltonian(n, m)
         vectors, theta, rotation = oracle._krylov_spectrum(
-            h.apply, math.sqrt(h.neighbours.size),
-            initial_sector_state(sector_basis(n, m)).amplitudes.real,
+            h.apply, h.frobenius, initial_sector_state(sector_basis(n, m)).amplitudes.real,
         )
         assert vectors.shape[0] == theta.size == dimension
         assert vectors.dtype == np.float64
@@ -227,9 +279,7 @@ class TestKrylovPropagate:
             part = eigenvectors[:, members] @ rng.normal(size=members.size)
             start += 1e-3**k * part / np.linalg.norm(part)
         start /= np.linalg.norm(start)
-        vectors, theta, rotation = oracle._krylov_spectrum(
-            h.apply, math.sqrt(h.neighbours.size), start
-        )
+        vectors, theta, rotation = oracle._krylov_spectrum(h.apply, h.frobenius, start)
         assert np.max(np.abs(vectors @ vectors.T - np.eye(len(vectors)))) < 1e-12
         for tau in (0.37, 2.9, 11.5):
             evolved = (np.exp(-1j * tau * theta) * rotation[0]) @ rotation.T @ vectors
@@ -275,6 +325,19 @@ class TestKrylovPropagate:
             assert evolved.shape == (taus.size, len(psi.basis.states))
             for tau, row in zip(taus, evolved):
                 assert np.max(np.abs(row - _spectral_reference(h, amplitudes, tau))) < 1e-12
+
+    def test_slices_of_one_time_array_run_lanczos_once(self, monkeypatch):
+        h = build_sector_hamiltonian(9, 4)
+        psi = _random_sector_state(9, 4, seed=7)
+        taus = np.linspace(-3.0, 9.0, 11)
+        whole = propagate(h, psi, taus).amplitudes
+        calls = []
+        krylov = oracle._krylov_spectrum
+        monkeypatch.setattr(oracle, "_krylov_spectrum", lambda *a: calls.append(a) or krylov(*a))
+        fresh = build_sector_hamiltonian(9, 4)
+        rows = [propagate(fresh, psi, taus[i : i + 4]).amplitudes for i in range(0, 11, 4)]
+        assert len(calls) == 2  # the real and the imaginary part, once each
+        assert np.max(np.abs(np.concatenate(rows) - whole)) < 1e-14
 
     def test_zero_start_with_tau_array_stays_zero(self):
         basis = sector_basis(5, 2)
@@ -362,6 +425,14 @@ class TestReducedDensity:
     @pytest.mark.parametrize("size", [0, 6])
     def test_schmidt_trivial_partition(self, size):
         assert np.array_equal(schmidt_eigenvalues(initial_sector_state(sector_basis(6, 3)), size), [1.0])
+
+    def test_block_maps_built_once_per_partition(self):
+        basis = sector_basis(8, 3)
+        blocks = oracle._schmidt_blocks(basis, 3)
+        assert oracle._schmidt_blocks(basis, 3) is blocks
+        assert oracle._schmidt_blocks(basis, 5) is not blocks
+        # the gathers of one partition list every basis state once
+        assert sorted(np.concatenate([gather for gather, _ in blocks])) == list(range(56))
 
     def test_partition_relabeling_invariance(self):
         # permuting the sites of the state and cutting along the permuted
@@ -541,7 +612,8 @@ class TestVerifyClosedForm:
         monkeypatch.setattr(oracle, "sector_basis", counted_basis)
         monkeypatch.setattr(evolution, "amplitudes_at", counted_amplitudes_at)
         assert verify_closed_form(ModelSpec(8, 3), np.linspace(0.0, 3.0, 16)).passed
-        assert bases == [(8, 3)]
+        # the sector's basis, and the (M-1) sector's that the lowering table indexes
+        assert bases == [(8, 3), (8, 2)]
         assert reference_calls == [(16,)]
 
     @pytest.mark.parametrize(
@@ -563,7 +635,7 @@ class TestVerifyClosedForm:
 
         monkeypatch.setattr(oracle, "schmidt_eigenvalues", nan_at_second_sample)
         report = verify_closed_form(ModelSpec(4, 1), [0.0, 0.3, 0.7])
-        assert calls == [1]  # one batched call for all samples
+        assert calls == [1]  # all samples fit one chunk
         assert math.isnan(report.max_spectrum_deviation)
         assert math.isnan(report.max_entropy_deviation)
         assert not report.passed
@@ -632,27 +704,72 @@ class TestVerifyClosedForm:
     def test_extra_hop_is_caught(self, monkeypatch):
         true_build = oracle.build_sector_hamiltonian
 
-        def with_extra_hop(n_total, excitations):
+        def with_redirected_entry(n_total, excitations):
             h = true_build(n_total, excitations)
-            table = h.neighbours.copy()
-            last = len(table) - 1
-            # 0b00000111 and 0b11100000 are not neighbours: one hop of each
-            # is redirected to the other, and their old partners a and b are
-            # joined, so every row keeps M(N-M) entries and H stays symmetric
-            a, b = table[0, 0], table[last, 0]
-            assert last not in table[0] and b not in table[a]
-            table[0, 0], table[last, 0] = last, 0
-            table[a, table[a] == 0] = b
-            table[b, table[b] == last] = a
+            table = h.lowering.copy()
+            # the start state 0b00000111 lowers to 0b11000000 instead of
+            # 0b00000110: it loses the five hops through 0b00000110 and gains
+            # six through 0b11000000, and H = L^T L - M stays symmetric
+            table[0, 0] = table.max()
             rewired = SectorHamiltonian(h.basis, table)
             assert np.array_equal(rewired.matrix, rewired.matrix.T)
-            assert rewired.matrix[0, last] == 1.0
+            assert (rewired.matrix != h.matrix).sum() == 2 * (5 + 6)
             return rewired
 
-        monkeypatch.setattr(oracle, "build_sector_hamiltonian", with_extra_hop)
+        monkeypatch.setattr(oracle, "build_sector_hamiltonian", with_redirected_entry)
         rng = np.random.default_rng(8)
         assert not verify_closed_form(ModelSpec(8, 3), rng.uniform(0, 4 * math.pi, 16)).passed
 
+    def test_samples_are_scored_in_byte_bounded_chunks(self, monkeypatch):
+        spec, taus = ModelSpec(8, 3), np.random.default_rng(3).uniform(0, 4 * math.pi, 16)
+        whole = verify_closed_form(spec, taus)
+        sizes, krylov_calls = [], []
+        true_propagate, krylov = oracle.propagate, oracle._krylov_spectrum
+
+        def counted_propagate(h, initial, tau):
+            sizes.append(len(tau))
+            return true_propagate(h, initial, tau)
+
+        monkeypatch.setattr(oracle, "propagate", counted_propagate)
+        monkeypatch.setattr(
+            oracle, "_krylov_spectrum", lambda *a: krylov_calls.append(a) or krylov(*a)
+        )
+        # five samples of 56 complex amplitudes a chunk, and one byte short of that
+        for budget, chunks in ((5 * 16 * 56, [5, 5, 5, 1]), (5 * 16 * 56 - 1, [4, 4, 4, 4])):
+            sizes.clear(), krylov_calls.clear()
+            monkeypatch.setattr(oracle, "CHUNK_BYTES", budget)
+            report = verify_closed_form(spec, taus)
+            assert sizes == chunks and len(krylov_calls) == 1
+            assert report.passed
+            assert report.max_spectrum_deviation == pytest.approx(whole.max_spectrum_deviation, abs=1e-14)
+            assert report.max_entropy_deviation == pytest.approx(whole.max_entropy_deviation, abs=1e-14)
+        # a sample larger than the budget still makes a chunk of one
+        monkeypatch.setattr(oracle, "CHUNK_BYTES", 1)
+        sizes.clear()
+        assert verify_closed_form(spec, taus[:3]).passed and sizes == [1, 1, 1]
+
+    def test_peak_memory_is_bounded_by_the_chunk_budget(self):
+        # tracemalloc sees numpy's buffers.  At (16,8) the peak must fit the
+        # int32 lowering table, a 16-row Lanczos basis, two chunk budgets,
+        # the product's two 8 d M temporaries (the repeated vector and the
+        # intp copy of the table) and 1 MiB for the O(d) vectors and the
+        # closed form's samples.  256 samples may take more than 64 only by
+        # the closed form's few floats per sample, less than one sample's
+        # d amplitudes.
+        spec, dim, count = ModelSpec(16, 8), math.comb(16, 8), 8
+        verify_closed_form(spec, [0.1])  # imports and the exact table, unmeasured
+        peaks = []
+        for samples in (64, 256):
+            taus = np.random.default_rng(samples).uniform(0, 4 * math.pi, samples)
+            tracemalloc.start()
+            try:
+                assert verify_closed_form(spec, taus).passed
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        table, lanczos, product = 4 * dim * count, 8 * 16 * dim, 2 * 8 * dim * count
+        assert max(peaks) <= table + lanczos + 2 * CHUNK_BYTES + product + (1 << 20), peaks
+        assert abs(peaks[1] - peaks[0]) < 16 * dim, peaks
 
     def test_no_dense_matrix_on_the_verify_path(self, monkeypatch):
         def refuse(self):
