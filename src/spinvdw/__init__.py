@@ -5,8 +5,9 @@ Two independent pipelines compute the same observables: a closed-form one
 (exact rational mixing coefficients, integer oscillation frequencies) and a
 brute-force one (sector Hamiltonians held as lowering tables, H = S+S- - M,
 propagated exactly in a Krylov subspace, and Schmidt spectra from the
-block-diagonal reduced density, one batched step per chunk of sample times).  The :mod:`spinvdw.oracle` module
-compares them; the CLI exposes both.
+block-diagonal reduced density, one batched step per chunk of sample
+times).  The :mod:`spinvdw.oracle` module compares them; the CLI exposes
+both.
 """
 
 from .backend import KERNEL_BACKEND

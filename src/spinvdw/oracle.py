@@ -112,20 +112,28 @@ class SectorHamiltonian:
         return math.sqrt(self.basis.patterns.size * count * (n_total - count))
 
     def apply(self, vector: np.ndarray) -> np.ndarray:
-        """H v for a length-d vector: L v scattered by the table, then L^T
-        gathered back.  Every (M-1)-sector state is reached, so L v has all
-        of its entries without a ``minlength``."""
+        """H v for a length-d vector: L v by scattering v down the table
+        (``bincount``), L^T L v by gathering it back, less M v.  The gather
+        reads only entries the scatter wrote, so no ``minlength`` is needed."""
         count = self.lowering.shape[1]
         lowered = np.bincount(self.lowering.ravel(), np.repeat(vector, count))
         return lowered[self.lowering].sum(axis=1) - count * vector
 
     @property
     def matrix(self) -> np.ndarray:
-        """The dense d x d matrix L^T L - M, built from the table on each access."""
+        """The dense d x d matrix L^T L - M, built from the table on each
+        access.  L^T L sums, over the (M-1)-sector states j, the outer
+        product of row j of L with itself: a one at each pair of the states
+        that lower to j."""
         dim, count = self.lowering.shape
-        lowering = np.zeros((self.lowering.max(initial=-1) + 1, dim))
-        lowering[self.lowering, np.arange(dim)[:, None]] = 1.0
-        return lowering.T @ lowering - count * np.eye(dim)
+        lowered = self.lowering.ravel()
+        order = np.argsort(lowered, kind="stable")
+        dense = np.zeros((dim, dim))
+        np.fill_diagonal(dense, -count)
+        # order // count: the state whose row holds each sorted entry
+        for members in np.split(order // count, np.flatnonzero(np.diff(lowered[order])) + 1):
+            np.add.at(dense, np.ix_(members, members), 1.0)
+        return dense
 
     def eigensystem(self) -> tuple[np.ndarray, np.ndarray]:
         """(eigenvalues, eigenvectors) of the real symmetric matrix."""
@@ -442,10 +450,12 @@ def verify_closed_form(spec: ModelSpec, tau_samples) -> VerificationReport:
         )
         oracle_entropies = von_neumann_entropy(oracle_eig)
         width = max(oracle_eig.shape[1], spec.m_prime + 1)
+        oracle_spectra = _zero_padded(oracle_eig, width)
         for spectra, entropies in closed_forms:
-            spectrum_deviation = np.maximum(spectrum_deviation, np.max(np.abs(
-                _zero_padded(spectra[chunk], width) - _zero_padded(oracle_eig, width)
-            )))
+            closed = _zero_padded(spectra[chunk], width)
+            spectrum_deviation = np.maximum(
+                spectrum_deviation, np.max(np.abs(closed - oracle_spectra))
+            )
             entropy_deviation = np.maximum(
                 entropy_deviation, np.max(np.abs(entropies[chunk] - oracle_entropies))
             )
