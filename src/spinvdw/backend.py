@@ -3,18 +3,20 @@
 ``KERNEL_BACKEND`` names the kernel implementation; the numpy kernel below
 is the only one.  A grid is cut into equal row blocks, each small enough
 that its cos and sin rows fill at most ``BLOCK_BYTES``, and the blocks are
-dealt to at most ``MAX_WORKERS`` threads: the kernel's time goes to numpy's
-cos, sin, matmul and log2 on whole blocks, which release the GIL.  Memory
-is the output plus each worker's two block buffers of at most
+dealt to at most ``MAX_WORKERS`` workers: the calling thread works one share
+and a plain helper thread each other share, since the kernel's time goes to
+numpy's cos, sin, matmul and log2 on whole blocks, which release the GIL.
+Memory is the output plus each worker's two block buffers of at most
 ``BLOCK_BYTES`` each, whatever the grid length and the number of modes.
 Every block is computed the same way whichever worker takes it, so the rows
 do not depend on the worker count.  A one-block grid runs in the calling
-thread and starts no thread.
+thread alone and starts no thread.
 """
 
 from __future__ import annotations
 
 import os
+from threading import Thread
 
 import numpy as np
 
@@ -31,7 +33,8 @@ ZERO_CUTOFF = 1e-300
 # 1 MiB ran the grid benchmark equally fast.
 BLOCK_BYTES = 1 << 19
 
-# Threads that share a multi-block grid, at most one per available CPU.
+# Workers that share a multi-block grid, at most one per available CPU: the
+# calling thread and MAX_WORKERS - 1 helper threads.
 MAX_WORKERS = 2
 
 
@@ -75,7 +78,9 @@ def schmidt_entropy_grid(b, phases, degeneracy, taus):
 
     The blocks are dealt to min(available CPUs, blocks, ``MAX_WORKERS``)
     workers, each of which works in its own two buffers, allocated once per
-    call; a worker's exception is raised here.
+    call in the calling thread.  The calling thread is worker 0; each helper
+    thread is joined before this returns or raises, and a helper's exception
+    is raised here unless the calling thread's own share raised first.
     """
     taus = np.asarray(taus, float)
     phases = np.asarray(phases, float)
@@ -118,19 +123,26 @@ def schmidt_entropy_grid(b, phases, degeneracy, taus):
             np.maximum(block_entropy, 0.0, out=block_entropy)
 
     workers = min(_available_cpus(), blocks, MAX_WORKERS)
-    # the buffers come from the calling thread: a worker thread allocates from
+    # the buffers come from the calling thread: a helper thread allocates from
     # its own malloc arena, which kept 1-4 MiB more peak RSS, varying by run
     shape = (2 * longest, phases.shape[0])
     buffers = [(np.empty(shape), np.empty(shape)) for _ in range(workers)]
-    if workers == 1:
-        work(spans, *buffers[0])
-    else:
-        # imported here: concurrent.futures loads logging, half a MiB that
-        # one-block callers (the maxima scan, verify) never need
-        from concurrent.futures import ThreadPoolExecutor
+    failures = []
 
-        with ThreadPoolExecutor(workers) as pool:
-            futures = [pool.submit(work, spans[w::workers], *buffers[w]) for w in range(workers)]
-            for future in futures:
-                future.result()
+    def run_share(w):
+        try:
+            work(spans[w::workers], *buffers[w])
+        except BaseException as error:  # raised again in the calling thread
+            failures.append(error)
+
+    helpers = [Thread(target=run_share, args=(w,)) for w in range(1, workers)]
+    for helper in helpers:
+        helper.start()
+    try:
+        work(spans[::workers], *buffers[0])
+    finally:
+        for helper in helpers:
+            helper.join()
+    if failures:
+        raise failures[0]
     return probs, entropies

@@ -185,7 +185,7 @@ def _float_blocks(parts) -> list[str]:
     if workers == 1:
         return [_format_block(shares[0])]
     # fork, not spawn: a spawned worker would import numpy and the package
-    # again, and no other thread runs here once the kernel's pool has been joined
+    # again, and no other thread runs here once the kernel has joined its helper
     from concurrent.futures import ProcessPoolExecutor
 
     with ProcessPoolExecutor(1, mp_context=multiprocessing.get_context("fork")) as pool:

@@ -22,9 +22,10 @@ from .model import ModelSpec
 # Integrity threshold on |sum(P) - 1| before a spectrum is rejected.
 NORMALIZATION_TOLERANCE = 1e-9
 
-# Intervals of the maxima scan's first grid over one period, points of each
-# zoom grid in its refinement, and the bracket width at which zooming stops.
-SCAN_GRID_POINTS = 2048
+# Intervals of the maxima scan's first grid over half a period, points of
+# each zoom grid in its refinement, and the bracket width at which zooming
+# stops.
+SCAN_GRID_POINTS = 1024
 ZOOM_POINTS = 65
 ZOOM_TOLERANCE = 1e-10
 
@@ -129,7 +130,15 @@ def entropy_grid(spec: ModelSpec, tau_grid) -> tuple[np.ndarray, np.ndarray]:
     probs, entropies = backend.schmidt_entropy_grid(
         table.array, table.phases, table.degeneracy, taus
     )
-    drift = float(np.max(np.abs(probs.sum(axis=1) - 1.0)))
+    # row sums a chunk of at most BLOCK_BYTES of probabilities at a time, so
+    # the check holds no grid-length temporary; np.maximum keeps a NaN
+    rows = max(1, backend.BLOCK_BYTES // probs[0].nbytes)
+    drift = 0.0
+    for first in range(0, probs.shape[0], rows):
+        sums = probs[first : first + rows].sum(axis=1)
+        sums -= 1.0
+        drift = np.maximum(drift, np.abs(sums, out=sums).max())
+    drift = float(drift)
     if not drift <= NORMALIZATION_TOLERANCE:  # NaN fails too
         raise NormalizationError(f"normalization drift {drift!r} on tau grid")
     return probs, entropies
@@ -208,8 +217,8 @@ def magic_number_scan(n_max: int) -> list[ScanRow]:
     """Maximum entanglement per system size N = 2..n_max for M = 1.
 
     The analytic maximum (best of the tau'/tau'' candidates) is cross-checked
-    against a dense grid of ``SCAN_GRID_POINTS`` intervals over one period,
-    refined by zoom grids; a disagreement beyond 1e-8 ebits raises
+    against a dense grid of ``SCAN_GRID_POINTS`` intervals over half a
+    period, refined by zoom grids; a disagreement beyond 1e-8 ebits raises
     ArithmeticError.
     """
     if n_max < 2:
@@ -235,15 +244,17 @@ def magic_number_scan(n_max: int) -> list[ScanRow]:
 
 
 def _refined_grid_max(spec: ModelSpec) -> tuple[float, float]:
-    """Dense-grid maximum over one period, sharpened by zoom grids.
+    """Dense-grid maximum over half a period, [0, pi/N], sharpened by zoom
+    grids.  The mixing table is real and the two frequencies differ by N,
+    so P_m(tau) = P_m(2 pi/N - tau): the other half of the period mirrors
+    this one.
 
     Each step brackets the grid argmax by its two neighbours and evaluates
     ``ZOOM_POINTS`` points across the bracket in one kernel call, until the
     bracket is no wider than ``ZOOM_TOLERANCE``.  Returns the entropy at the
     final bracket midpoint, and that midpoint.
     """
-    period = 2.0 * math.pi / spec.n_total
-    taus = np.linspace(0.0, period, SCAN_GRID_POINTS + 1)
+    taus = np.linspace(0.0, math.pi / spec.n_total, SCAN_GRID_POINTS + 1)
     while True:
         _, entropies = entropy_grid(spec, taus)
         peak = int(np.argmax(entropies))

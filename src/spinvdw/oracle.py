@@ -9,12 +9,13 @@ exact on the whole sector and projects onto nothing.  A sector Hamiltonian
 is therefore held matrix-free as a lowering table, with one row per basis
 state listing the (M-1)-sector states that emptying one of its M occupied
 sites gives: S- v scatters each entry of v onto its row, S+ gathers the
-rows back, so H v takes O(d M) time and memory where a dense d x d matrix
-would take O(d^2).  Propagation runs real Lanczos on that product, once
-from the real and once from the imaginary part of the start state (a zero
-part is skipped), until the residual vanishes, so each cyclic subspace is
-invariant and exp(-i H tau) acts on it exactly through one small
-tridiagonal eigendecomposition.  The subspace is found from the Hamiltonian
+rows back, one table column at a time, so H v takes O(d M) time and O(d)
+memory besides the table, where a dense d x d matrix would take O(d^2).
+Propagation runs real Lanczos on that product, once from the real and once
+from the imaginary part of the start state (a zero part is skipped), until
+the residual vanishes, so each cyclic subspace is invariant and
+exp(-i H tau) acts on it exactly through one small tridiagonal
+eigendecomposition.  The subspace is found from the Hamiltonian
 and the start vector alone: nothing sizes it from the model.  One call
 evolves to every time of a 1-d tau array at once, and a Hamiltonian keeps
 the Krylov spectra of the last start state it evolved, so a later call from
@@ -48,11 +49,11 @@ import numpy as np
 from .model import ModelSpec
 
 # Sector budget: C(24, 12) = 2704156 sector states.  The worst sector,
-# (24,12), verifies 64 samples in 90 s at 1028 MiB peak RSS, 8 samples in
-# 20 s at the same peak (one fresh process, 2-vCPU Xeon, numpy 2.4.6, one
-# BLAS thread).  Lanczos sets that peak: the 130 MB table, a 16-row basis of
-# 346 MB and the product's two d x M temporaries of 260 MB each.  (26,13)
-# would need about 4 GB.
+# (24,12), verifies 8 samples in 22 s at 667 MiB peak RSS, 64 samples in
+# 93 s at 669 MiB (one fresh process, 2-vCPU Xeon, numpy 2.4.6, one BLAS
+# thread).  Lanczos sets that peak: the 130 MB table, a 16-row basis of
+# 346 MB and the product's few d-length vectors of 22 MB each.  (26,13)
+# would need about 2.5 GB.
 SECTOR_SITE_BUDGET = 24
 # Lanczos stops once its residual falls below this fraction of the
 # Hamiltonian's Frobenius norm, a bound on the spectral radius.
@@ -113,11 +114,19 @@ class SectorHamiltonian:
 
     def apply(self, vector: np.ndarray) -> np.ndarray:
         """H v for a length-d vector: L v by scattering v down the table
-        (``bincount``), L^T L v by gathering it back, less M v.  The gather
-        reads only entries the scatter wrote, so no ``minlength`` is needed."""
+        (``bincount``), L^T L v by gathering it back, less M v.  Both walk
+        the table one column at a time, so each temporary holds O(d)
+        entries, not the d M of the whole table."""
         count = self.lowering.shape[1]
-        lowered = np.bincount(self.lowering.ravel(), np.repeat(vector, count))
-        return lowered[self.lowering].sum(axis=1) - count * vector
+        columns = self.lowering.T
+        # one entry per (M-1)-sector state; with M = 0 there is none
+        lowered = np.zeros(math.comb(self.basis.n_total, count - 1) if count else 0)
+        for column in columns:
+            lowered += np.bincount(column, vector, minlength=lowered.size)
+        product = np.zeros_like(vector)
+        for column in columns:
+            product += lowered[column]
+        return product - count * vector
 
     @property
     def matrix(self) -> np.ndarray:
@@ -304,7 +313,10 @@ def _schmidt_blocks(basis: SectorBasis, partition_size: int) -> list:
     kept_sites = min(partition_size, basis.n_total - partition_size)
     if partition_size > kept_sites:
         kept, traced = traced, kept
-    kept_count = (kept[:, None] >> np.arange(kept_sites) & 1).sum(axis=1)
+    # one site at a time: a (d, sites) bit table would take 8 d sites bytes
+    kept_count = np.zeros_like(kept)
+    for site in range(kept_sites):
+        kept_count += kept >> site & 1
     blocks = []
     # the occurring counts, by bincount: a bare np.unique imports numpy.ma
     for k in np.flatnonzero(np.bincount(kept_count)):

@@ -207,6 +207,18 @@ class TestEntropySeries:
             gap = np.abs(probs[:, 1] - probs[:, 0])
             assert gap[int(np.argmax(entropies))] <= gap.min() + 1e-15
 
+    @pytest.mark.parametrize("n, m", [(7, 1), (9, 4), (13, 6), (30, 11), (80, 40)])
+    def test_probabilities_mirror_about_half_a_period(self, n, m):
+        # the table is real and the frequencies are congruent modulo g, so
+        # P_m(tau) = P_m(2 pi/g - tau), with g = N at M' = 1 and gcd(N, 2)
+        # above; the maxima scan searches [0, pi/N] only
+        spec = ModelSpec(n, m)
+        g = n if spec.m_prime == 1 else math.gcd(n, 2)
+        taus = np.random.default_rng(n).uniform(0.0, 2.0 * math.pi / g, 256)
+        probs, _ = entropy_grid(spec, taus)
+        mirrored, _ = entropy_grid(spec, 2.0 * math.pi / g - taus)
+        assert np.max(np.abs(probs - mirrored)) < 1e-13
+
 
 class TestEntropyRate:
     def test_two_site_maximum_is_stationary(self):

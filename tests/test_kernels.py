@@ -1,11 +1,14 @@
 from __future__ import annotations
 
-import concurrent.futures
 import os
+import subprocess
 import sys
+import threading
+import time
 import tracemalloc
 import warnings
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -98,17 +101,27 @@ def report_cpus(monkeypatch, count):
 
 
 @pytest.fixture
-def pool_sizes(monkeypatch):
-    """The worker count of every thread pool the kernel starts."""
-    sizes = []
+def worker_counts(monkeypatch):
+    """The worker count (the calling thread plus the threads it starts) of
+    every kernel call that starts a thread."""
+    counts, started = [], []
+    kernel, start = backend.schmidt_entropy_grid, threading.Thread.start
 
-    class RecordedPool(ThreadPoolExecutor):
-        def __init__(self, max_workers, *args, **kwargs):
-            sizes.append(max_workers)
-            super().__init__(max_workers, *args, **kwargs)
+    def recorded_start(thread):
+        started.append(thread)
+        start(thread)
 
-    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", RecordedPool)
-    return sizes
+    def recorded_kernel(*args):
+        started.clear()
+        try:
+            return kernel(*args)
+        finally:
+            if started:
+                counts.append(1 + len(started))
+
+    monkeypatch.setattr(threading.Thread, "start", recorded_start)
+    monkeypatch.setattr(backend, "schmidt_entropy_grid", recorded_kernel)
+    return counts
 
 
 def _assert_rows_match_single_row_calls(inputs, length):
@@ -133,36 +146,45 @@ def _assert_rows_match_single_row_calls(inputs, length):
 
 @pytest.mark.parametrize("length", [1, 8191, 8192, 8193, 16387])
 @pytest.mark.parametrize("n_total, m_excited", [(2, 1), (9, 4), (24, 12)])
-def test_block_boundaries_do_not_change_rows(monkeypatch, pool_sizes, n_total, m_excited, length):
+def test_block_boundaries_do_not_change_rows(monkeypatch, worker_counts, n_total, m_excited, length):
     # a grid of one block's rows runs in the calling thread, one row more is two blocks
     report_cpus(monkeypatch, 2)
     inputs = table_arrays(ModelSpec(n_total, m_excited))
     length = grid_length(inputs, length)
     _assert_rows_match_single_row_calls(inputs, length)
-    assert pool_sizes == ([] if length <= block_rows(inputs) else [2])
+    assert worker_counts == ([] if length <= block_rows(inputs) else [2])
+
+
+def kernel_allowance(inputs, blocks):
+    """Bytes the kernel may hold besides its output, for a grid of
+    ``blocks`` full blocks."""
+    # Each of at most MAX_WORKERS workers holds two buffers of at most
+    # BLOCK_BYTES and, one at a time, either a block's comparison mask or the
+    # iterator buffers numpy takes for a broadcast product (two of
+    # getbufsize() floats, and a little); the helper thread takes a few KiB,
+    # within 64 KiB, and the block list a few hundred bytes a block.  None of
+    # it grows with M'+1.
+    transient = max(block_rows(inputs) * inputs[1].size, 2 * 8 * np.getbufsize() + 4096)
+    allowance = backend.MAX_WORKERS * (2 * backend.BLOCK_BYTES + transient)
+    return allowance + 65536 + 256 * blocks
+
+
+def traced_peak(call, *args):
+    """``call(*args)`` and the peak of the memory tracemalloc sees during it."""
+    tracemalloc.start()
+    try:
+        result = call(*args)
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def _assert_memory_is_output_plus_block_buffers(spec):
     inputs = table_arrays(spec)
-    rows = block_rows(inputs)
     # 48 full blocks: every buffer is as large as the budget allows
-    taus = np.linspace(0.0, 10.0, 48 * rows)
-    tracemalloc.start()
-    try:
-        probs, entropies = backend.schmidt_entropy_grid(*inputs, taus)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    # Each of at most MAX_WORKERS workers holds two buffers of at most
-    # BLOCK_BYTES and, one at a time, either a block's comparison mask or the
-    # iterator buffers numpy takes for a broadcast product (two of
-    # getbufsize() floats, and a little); the thread pool takes a few tens of
-    # KiB and the block list a few hundred bytes a block.  None of it grows
-    # with M'+1.
-    transient = max(rows * inputs[1].size, 2 * 8 * np.getbufsize() + 4096)
-    allowance = backend.MAX_WORKERS * (2 * backend.BLOCK_BYTES + transient)
-    allowance += 65536 + 256 * 48
-    assert peak < probs.nbytes + entropies.nbytes + allowance
+    taus = np.linspace(0.0, 10.0, 48 * block_rows(inputs))
+    (probs, entropies), peak = traced_peak(backend.schmidt_entropy_grid, *inputs, taus)
+    assert peak < probs.nbytes + entropies.nbytes + kernel_allowance(inputs, 48)
 
 
 def test_memory_is_output_plus_one_block():
@@ -171,15 +193,31 @@ def test_memory_is_output_plus_one_block():
         _assert_memory_is_output_plus_block_buffers(spec)
 
 
-def test_memory_bound_holds_with_many_cpus(monkeypatch, pool_sizes):
+# M'+1 = 2 and 41
+@pytest.mark.parametrize("n_total, m_excited", [(40, 1), (80, 40)])
+def test_entropy_grid_memory_is_kernel_plus_one_drift_chunk(monkeypatch, n_total, m_excited):
+    # The normalization check sums the rows of at most BLOCK_BYTES of
+    # probabilities at a time.  The kernel's buffers are freed before it
+    # runs, so a check over the whole grid at once shows only where its row
+    # sums outgrow them: at M'+1 = 2 those take 6 MiB each, and it holds two.
+    report_cpus(monkeypatch, 2)
+    spec = ModelSpec(n_total, m_excited)
+    inputs = table_arrays(spec)
+    taus = np.linspace(0.0, 10.0, 48 * block_rows(inputs))
+    (probs, entropies), peak = traced_peak(entropy_grid, spec, taus)
+    drift_chunk = 8 * (backend.BLOCK_BYTES // probs[0].nbytes)
+    assert peak < probs.nbytes + entropies.nbytes + kernel_allowance(inputs, 48) + drift_chunk
+
+
+def test_memory_bound_holds_with_many_cpus(monkeypatch, worker_counts):
     report_cpus(monkeypatch, 64)
     _assert_memory_is_output_plus_block_buffers(ModelSpec(80, 40))
-    assert pool_sizes == [backend.MAX_WORKERS]
+    assert worker_counts == [backend.MAX_WORKERS]
 
 
 @pytest.mark.parametrize("length", [1, 8192, 24577])
 @pytest.mark.parametrize("n_total, m_excited", [(24, 12), (80, 40)])
-def test_rows_do_not_depend_on_worker_count(monkeypatch, pool_sizes, n_total, m_excited, length):
+def test_rows_do_not_depend_on_worker_count(monkeypatch, worker_counts, n_total, m_excited, length):
     inputs = table_arrays(ModelSpec(n_total, m_excited))
     length = grid_length(inputs, length)
     taus = np.random.default_rng(length).uniform(-20.0, 20.0, length)
@@ -187,11 +225,11 @@ def test_rows_do_not_depend_on_worker_count(monkeypatch, pool_sizes, n_total, m_
     results = {}
     for cpus in (1, 2, 64):
         report_cpus(monkeypatch, cpus)
-        pool_sizes.clear()
+        worker_counts.clear()
         results[cpus] = backend.schmidt_entropy_grid(*inputs, taus)
         workers = min(cpus, blocks, backend.MAX_WORKERS)
-        # one worker runs in the calling thread and starts no pool
-        assert pool_sizes == ([] if workers == 1 else [workers])
+        # one worker runs in the calling thread and starts no thread
+        assert worker_counts == ([] if workers == 1 else [workers])
     for cpus in (2, 64):
         assert np.array_equal(results[cpus][0], results[1][0])
         assert np.array_equal(results[cpus][1], results[1][1])
@@ -217,7 +255,7 @@ def test_concurrent_callers_under_fast_thread_switching(monkeypatch):
         assert np.array_equal(entropies, want_entropies)
 
 
-def test_cpu_count_fallback(monkeypatch, pool_sizes):
+def test_cpu_count_fallback(monkeypatch, worker_counts):
     inputs = table_arrays(ModelSpec(9, 4))
     taus = np.random.default_rng(4).uniform(-20.0, 20.0, 2 * block_rows(inputs) + 5)
     report_cpus(monkeypatch, 1)
@@ -232,22 +270,45 @@ def test_cpu_count_fallback(monkeypatch, pool_sizes):
     monkeypatch.setattr(os, "cpu_count", cpu_count)
     probs, entropies = backend.schmidt_entropy_grid(*inputs, taus)
     assert asked
-    assert pool_sizes == [2]
+    assert worker_counts == [2]
     assert np.array_equal(probs, expected[0])
     assert np.array_equal(entropies, expected[1])
 
 
-def test_worker_exception_raised_in_caller(monkeypatch, pool_sizes):
+def test_worker_exception_raised_in_caller(monkeypatch, worker_counts):
     report_cpus(monkeypatch, 2)
     coeffs, phases, degeneracy = table_arrays(ModelSpec(9, 4))
     malformed = np.ones((coeffs.shape[0] + 1, coeffs.shape[1]))
     taus = np.linspace(0.0, 1.0, 3 * block_rows((coeffs, phases)))
     with pytest.raises(ValueError):
         backend.schmidt_entropy_grid(malformed, phases, degeneracy, taus)
-    assert pool_sizes == [2]
+    assert worker_counts == [2]
 
 
-def test_overflow_in_worker_is_silent_and_rejected(monkeypatch, pool_sizes):
+@pytest.mark.parametrize("failing", ["caller", "helper"])
+def test_one_worker_failing_joins_the_helper(monkeypatch, worker_counts, failing):
+    # log2 fails in one worker only; its error is raised in the caller, and
+    # the helper has been joined by then, whichever of the two failed
+    report_cpus(monkeypatch, 2)
+    inputs = table_arrays(ModelSpec(9, 4))
+    taus = np.linspace(0.0, 1.0, 8 * block_rows(inputs))
+    caller, log2 = threading.current_thread(), np.log2
+
+    def log2_failing_in_one_worker(*args, **kwargs):
+        if (threading.current_thread() is caller) == (failing == "caller"):
+            raise FloatingPointError(failing)
+        time.sleep(0.05)  # the other worker is still busy when this one fails
+        return log2(*args, **kwargs)
+
+    monkeypatch.setattr(np, "log2", log2_failing_in_one_worker)
+    threads = threading.active_count()
+    with pytest.raises(FloatingPointError, match=failing):
+        backend.schmidt_entropy_grid(*inputs, taus)
+    assert threading.active_count() == threads
+    assert worker_counts == [2]
+
+
+def test_overflow_in_worker_is_silent_and_rejected(monkeypatch, worker_counts):
     # numpy's error state is per thread: each worker must set its own
     report_cpus(monkeypatch, 2)
     taus = np.linspace(0.0, 1.0, 2 * block_rows(table_arrays(ModelSpec(9, 4))) + 1)
@@ -255,7 +316,32 @@ def test_overflow_in_worker_is_silent_and_rejected(monkeypatch, pool_sizes):
     with warnings.catch_warnings(), pytest.raises(NormalizationError):
         warnings.simplefilter("error")
         entropy_grid(ModelSpec(9, 4), taus)
-    assert pool_sizes == [2]
+    assert worker_counts == [2]
+
+
+def test_two_block_grid_loads_no_thread_pool():
+    # the helper is a plain thread: concurrent.futures would load logging
+    script = """
+import os, sys, threading
+import numpy as np
+os.sched_getaffinity = lambda pid: {0, 1}
+started, start = [], threading.Thread.start
+def recorded_start(thread):
+    started.append(thread)
+    start(thread)
+threading.Thread.start = recorded_start
+from spinvdw.backend import BLOCK_BYTES
+from spinvdw.entanglement import entropy_grid
+from spinvdw.model import ModelSpec
+entropy_grid(ModelSpec(9, 4), np.linspace(0.0, 1.0, BLOCK_BYTES // (16 * 5) + 1))
+print(len(started), "concurrent.futures" in sys.modules)
+"""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "1 False\n"
 
 
 @pytest.mark.parametrize("length", [8193, 16385])
@@ -288,20 +374,20 @@ def test_grids_past_the_small_matrix_line_match_a_long_grid(n_total, m_excited):
         assert np.array_equal(entropies, full_entropies[:length]), length
 
 
-def test_scan_verify_and_figures_start_no_pool(monkeypatch, pool_sizes, tmp_path):
-    # their grids (2049 and 4097 points at M'+1 = 2, zoom grids, 64 verify
-    # samples) each fit one block, as does an 8192-point grid at M'+1 = 2, so
+def test_scan_verify_and_figures_start_no_pool(monkeypatch, worker_counts, tmp_path):
+    # their grids (1025, 2049 and 4097 points at M'+1 = 2, zoom grids, 64
+    # verify samples) each fit one block, as does an 8192-point grid at M'+1 = 2, so
     # a second CPU starts no thread
     report_cpus(monkeypatch, 2)
     entropy_grid(ModelSpec(2, 1), np.linspace(0.0, 1.0, 8192))
     magic_number_scan(30)
     assert verify_closed_form(ModelSpec(13, 6), np.linspace(0.0, 4.0 * np.pi, 64)).passed
     assert main(["figures", "--out-dir", str(tmp_path)]) == 0
-    assert pool_sizes == []
+    assert worker_counts == []
 
 
-def test_export_evolve_grid_starts_a_pool(monkeypatch, pool_sizes):
+def test_export_evolve_grid_starts_a_pool(monkeypatch, worker_counts):
     # the 60000-step evolve grid at (24, 12) is dealt to two workers
     report_cpus(monkeypatch, 2)
     entropy_grid(ModelSpec(24, 12), np.linspace(0.0, 2.0 * np.pi / 24, 60_000))
-    assert pool_sizes == [2]
+    assert worker_counts == [2]

@@ -750,9 +750,9 @@ class TestVerifyClosedForm:
 
     def test_peak_memory_is_bounded_by_the_chunk_budget(self):
         # tracemalloc sees numpy's buffers.  At (16,8) the peak must fit the
-        # int32 lowering table, a 16-row Lanczos basis, two chunk budgets,
-        # the product's two 8 d M temporaries (the repeated vector and the
-        # intp copy of the table) and 1 MiB for the O(d) vectors and the
+        # int32 lowering table, a 16-row Lanczos basis, two chunk budgets
+        # and 1 MiB for the O(d) vectors (the product's and the Schmidt
+        # split's, which both walk one column or site at a time) and the
         # closed form's samples.  256 samples may take more than 64 only by
         # the closed form's few floats per sample, less than one sample's
         # d amplitudes.
@@ -767,8 +767,8 @@ class TestVerifyClosedForm:
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
-        table, lanczos, product = 4 * dim * count, 8 * 16 * dim, 2 * 8 * dim * count
-        assert max(peaks) <= table + lanczos + 2 * CHUNK_BYTES + product + (1 << 20), peaks
+        table, lanczos = 4 * dim * count, 8 * 16 * dim
+        assert max(peaks) <= table + lanczos + 2 * CHUNK_BYTES + (1 << 20), peaks
         assert abs(peaks[1] - peaks[0]) < 16 * dim, peaks
 
     def test_no_dense_matrix_on_the_verify_path(self, monkeypatch):
