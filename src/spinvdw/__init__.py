@@ -22,7 +22,6 @@ from .entanglement import (
     CriticalTimes,
     NormalizationError,
     ScanRow,
-    SchmidtSpectrum,
     SingularTimeError,
     critical_times_m1,
     entropy,
@@ -61,7 +60,6 @@ __all__ = [
     "ModelSpec",
     "NormalizationError",
     "ScanRow",
-    "SchmidtSpectrum",
     "SectorBasis",
     "SectorHamiltonian",
     "SectorState",

@@ -1,4 +1,5 @@
-"""Grid evaluation kernel: Schmidt probabilities and entropies over tau.
+"""Grid evaluation kernel: Schmidt probabilities, entropies and the
+normalization drift over tau.
 
 ``KERNEL_BACKEND`` names the kernel implementation; the numpy kernel below
 is the only one.  A grid is cut into equal row blocks, each small enough
@@ -47,12 +48,16 @@ def _available_cpus() -> int:
 
 
 def schmidt_entropy_grid(b, phases, degeneracy, taus):
-    """Schmidt probabilities and base-2 entropies for every grid time.
+    """Schmidt probabilities and base-2 entropies for every grid time, and
+    how far their rows are from normalized.
 
     ``b`` is the (M'+1) x (M'+1) mixing matrix, ``phases`` the integer
     oscillation frequencies and ``degeneracy`` the Schmidt multiplicities,
-    all as float64.  Returns ``(probs, entropies)`` with shapes
-    ``(len(taus), M'+1)`` and ``(len(taus),)``.
+    all as float64.  Returns ``(probs, entropies, drift)``: arrays of shapes
+    ``(len(taus), M'+1)`` and ``(len(taus),)``, and the float max over the
+    rows of |sum(P) - 1|, NaN if any row holds a NaN.  Each block measures
+    its rows' drift right after writing them, so no pass over the output
+    follows.
 
     The grid is walked in real arithmetic, in blocks of at most
     max(1, ``BLOCK_BYTES`` // (16 (M'+1))) rows: a block's stacked cos and sin
@@ -73,8 +78,8 @@ def schmidt_entropy_grid(b, phases, degeneracy, taus):
     M'+1 = 101; and at some M'+1 of 201 or more (201, 257, 300, 500 and
     2001, not 400 or 1000) the last few rows of any product, so there a row
     next to a block's end depends on the grid length and on
-    ``BLOCK_BYTES``.  An overflowing phase gives NaN rows without a warning;
-    the callers' normalization checks reject them.
+    ``BLOCK_BYTES``.  An overflowing phase gives NaN rows without a warning,
+    and so a NaN drift, which the caller's normalization check rejects.
 
     The blocks are dealt to min(available CPUs, blocks, ``MAX_WORKERS``)
     workers, each of which works in its own two buffers, allocated once per
@@ -95,6 +100,7 @@ def schmidt_entropy_grid(b, phases, degeneracy, taus):
     longest = max(stop - start for start, stop in spans)
 
     def work(share, trig_buffer, product_buffer):
+        drift = 0.0
         for start, stop in share:
             rows = stop - start
             trig = trig_buffer[: 2 * rows]
@@ -112,6 +118,11 @@ def schmidt_entropy_grid(b, phases, degeneracy, taus):
             np.multiply(im, im, out=im)
             np.add(re, im, out=re)
             np.multiply(degeneracy, re, out=p)
+            # max |sum(P) - 1| over the block's rows, in its entropy slot
+            # before the entropy fills it; np.maximum keeps a NaN
+            np.sum(p, axis=1, out=block_entropy)
+            block_entropy -= 1.0
+            drift = np.maximum(drift, np.abs(block_entropy, out=block_entropy).max())
             # p log2 p with 0 log 0 = 0: below the cutoff log2 p is left at 0
             p_log_p = re
             p_log_p.fill(0.0)
@@ -121,17 +132,18 @@ def schmidt_entropy_grid(b, phases, degeneracy, taus):
             np.negative(block_entropy, out=block_entropy)
             # entropy is nonnegative; rounding of p log p at p ~ 1 can leave -1e-16
             np.maximum(block_entropy, 0.0, out=block_entropy)
+        return drift
 
     workers = min(_available_cpus(), blocks, MAX_WORKERS)
     # the buffers come from the calling thread: a helper thread allocates from
     # its own malloc arena, which kept 1-4 MiB more peak RSS, varying by run
     shape = (2 * longest, phases.shape[0])
     buffers = [(np.empty(shape), np.empty(shape)) for _ in range(workers)]
-    failures = []
+    failures, drifts = [], [0.0] * workers
 
     def run_share(w):
         try:
-            work(spans[w::workers], *buffers[w])
+            drifts[w] = work(spans[w::workers], *buffers[w])
         except BaseException as error:  # raised again in the calling thread
             failures.append(error)
 
@@ -139,10 +151,10 @@ def schmidt_entropy_grid(b, phases, degeneracy, taus):
     for helper in helpers:
         helper.start()
     try:
-        work(spans[::workers], *buffers[0])
+        drifts[0] = work(spans[::workers], *buffers[0])
     finally:
         for helper in helpers:
             helper.join()
     if failures:
         raise failures[0]
-    return probs, entropies
+    return probs, entropies, float(np.max(drifts))

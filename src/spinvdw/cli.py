@@ -34,8 +34,9 @@ FIG3_N_MAX = 30
 FIG1_GRID = 2048
 FIG2_GRID = 4096
 
-# Tables of at least this many floats are formatted in two processes where
-# fork and a second CPU exist (see _float_blocks).  Measured on a shared
+# Evolve tables of at least this many floats are formatted in two processes
+# where fork and a second CPU exist (see _float_blocks); the figures' tables
+# (72k and 147k floats) stay in this process.  Measured on a shared
 # 2-vCPU Xeon with 15-column tables, one fresh process per run, 11
 # alternating pairs: two processes lost at 200k values (0.40 s against
 # 0.33 s in one), broke even near 300k and won from 400k on (0.43 s against
@@ -152,45 +153,32 @@ def _format_block(parts) -> str:
     )
 
 
-def _float_blocks(parts) -> list[str]:
-    """The CSV text of the (prefix, 2-d float table) parts, in order, as one
-    or two :func:`_format_block` blocks.
+def _float_blocks(table: np.ndarray) -> list[str]:
+    """The CSV text of a 2-d float table, as one or two :func:`_format_block`
+    blocks.
 
-    The rows are cut into one share per worker, equal to within one row.  A
-    table of at least ``PARALLEL_FORMAT_VALUES`` values, on a machine with a
-    second CPU and the fork start method, takes two workers: this process
-    formats the first share while one forked process formats the second.
-    Every share is formatted by the same function, so the text does not
-    depend on the worker count.  A worker's exception is raised here.
+    A table of at least ``PARALLEL_FORMAT_VALUES`` values, on a machine with
+    a second CPU and the fork start method, is cut at half its rows: this
+    process formats the first half while one forked process formats the
+    second.  Both halves are formatted by the same function, so the text
+    does not depend on the process count.  The worker's exception is raised
+    here.
     """
-    workers = 1
-    if sum(table.size for _, table in parts) >= PARALLEL_FORMAT_VALUES and _available_cpus() > 1:
+    if table.size >= PARALLEL_FORMAT_VALUES and _available_cpus() > 1:
         # imported here: multiprocessing and concurrent.futures would add to
         # the start-up of every command, and only long tables use them
         import multiprocessing
 
         if "fork" in multiprocessing.get_all_start_methods():
-            workers = 2
-    total = sum(len(table) for _, table in parts)
-    bounds = [total * k // workers for k in range(workers + 1)]
-    shares = []
-    for start, stop in zip(bounds[:-1], bounds[1:]):
-        share, offset = [], 0
-        for prefix, table in parts:
-            lo, hi = max(start - offset, 0), min(stop - offset, len(table))
-            if lo < hi:
-                share.append((prefix, table[lo:hi]))
-            offset += len(table)
-        shares.append(share)
-    if workers == 1:
-        return [_format_block(shares[0])]
-    # fork, not spawn: a spawned worker would import numpy and the package
-    # again, and no other thread runs here once the kernel has joined its helper
-    from concurrent.futures import ProcessPoolExecutor
+            # fork, not spawn: a spawned worker would import numpy and the package
+            # again, and no other thread runs here once the kernel has joined its helper
+            from concurrent.futures import ProcessPoolExecutor
 
-    with ProcessPoolExecutor(1, mp_context=multiprocessing.get_context("fork")) as pool:
-        second = pool.submit(_format_block, shares[1])
-        return [_format_block(shares[0]), second.result()]
+            half = len(table) // 2
+            with ProcessPoolExecutor(1, mp_context=multiprocessing.get_context("fork")) as pool:
+                second = pool.submit(_format_block, [("", table[half:])])
+                return [_format_block([("", table[:half])]), second.result()]
+    return [_format_block([("", table)])]
 
 
 def _write_csv(path: Path, header: list[str], blocks) -> None:
@@ -218,7 +206,7 @@ def cmd_evolve(args: argparse.Namespace) -> int:
     taus = np.linspace(0.0, tau_max, args.steps)
     probs, entropies = entropy_grid(spec, taus)
     header = ["tau"] + [f"p_{m}" for m in range(spec.m_prime + 1)] + ["entropy"]
-    _write_csv(args.out, header, _float_blocks([("", np.column_stack([taus, probs, entropies]))]))
+    _write_csv(args.out, header, _float_blocks(np.column_stack([taus, probs, entropies])))
     if args.svg:
         series = [(f"p_{m}", taus, probs[:, m]) for m in range(spec.m_prime + 1)]
         series.append(("entropy", taus, entropies))
@@ -310,7 +298,7 @@ def cmd_figures(args: argparse.Namespace) -> int:
         series1.append((f"p_0 N={n}", taus, probs[:, 0]))
         series1.append((f"p_1 N={n}", taus, probs[:, 1]))
         series1.append((f"E N={n}", taus, entropies))
-    _write_csv(out_dir / "fig1.csv", header1, _float_blocks(parts1))
+    _write_csv(out_dir / "fig1.csv", header1, [_format_block(parts1)])
 
     # family 2: entropy against the rescaled time N*tau
     header2 = ["n", "tau", "rescaled_tau", "entropy"]
@@ -323,7 +311,7 @@ def cmd_figures(args: argparse.Namespace) -> int:
         rescaled = n * taus
         parts2.append((f"{n},", np.column_stack([taus, rescaled, entropies])))
         series2.append((f"N={n}", rescaled, entropies))
-    _write_csv(out_dir / "fig2.csv", header2, _float_blocks(parts2))
+    _write_csv(out_dir / "fig2.csv", header2, [_format_block(parts2)])
 
     # family 3: maximum entanglement against system size
     scan = magic_number_scan(FIG3_N_MAX)

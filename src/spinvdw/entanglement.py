@@ -38,16 +38,6 @@ class SingularTimeError(ValueError):
     """The entropy rate was requested at a cusp of the entropy curve."""
 
 
-@dataclass(frozen=True, eq=False)
-class SchmidtSpectrum:
-    """Probabilities P_m = C(M,m) C(N-M,m) |C_m|^2, shape (M'+1,) at one
-    time or (T, M'+1) at T times."""
-
-    spec: ModelSpec
-    tau: float | np.ndarray
-    probabilities: np.ndarray
-
-
 @dataclass(frozen=True)
 class CriticalTimes:
     """Stationary times of the single-excitation entanglement curve.
@@ -77,24 +67,25 @@ class ScanRow:
     grid_argmax_tau: float
 
 
-def schmidt_spectrum(amps: AmplitudeVector) -> SchmidtSpectrum:
-    """Schmidt probabilities of an amplitude vector or stack of them, from
-    the table's ``degeneracy``; every row must be normalized."""
+def schmidt_spectrum(amps: AmplitudeVector) -> np.ndarray:
+    """Schmidt probabilities P_m = C(M,m) C(N-M,m) |C_m|^2 of an amplitude
+    vector or stack of them, from the table's ``degeneracy``: shape (M'+1,)
+    at one time or (T, M'+1) at T times.  Every row must be normalized."""
     probs = amps.table.degeneracy * np.abs(amps.amplitudes) ** 2
     drift = np.abs(probs.sum(axis=-1) - 1.0)
     if not (drift <= NORMALIZATION_TOLERANCE).all():  # NaN fails too
         raise NormalizationError(f"amplitudes are not normalized: |sum(P) - 1| = {np.max(drift)!r}")
-    return SchmidtSpectrum(amps.table.spec, amps.tau, probs)
+    return probs
 
 
-def entropy(spectrum):
-    """Base-2 Shannon entropy of a Schmidt spectrum, in ebits, along the last
-    axis: a Python float for one spectrum, an array for a stack of them.
+def entropy(probabilities):
+    """Base-2 Shannon entropy of Schmidt probabilities, in ebits, along the
+    last axis: a Python float for one spectrum, an array for a stack of them.
 
-    Accepts a :class:`SchmidtSpectrum` or bare probabilities; 0 * log 0 is
-    taken as 0.  A spectrum with a NaN or infinite probability gives NaN.
+    0 * log 0 is taken as 0.  A spectrum with a NaN or infinite probability
+    gives NaN.
     """
-    probs = np.asarray(getattr(spectrum, "probabilities", spectrum), dtype=float)
+    probs = np.asarray(probabilities, dtype=float)
     positive = np.where(probs > ZERO_CUTOFF, probs, 1.0)  # log2(1) = 0 drops the rest
     total = -(positive * np.log2(positive)).sum(axis=-1)
     # nonnegative by definition: clips p log p rounding at p ~ 1, -0.0 included
@@ -119,7 +110,9 @@ def entropy_grid(spec: ModelSpec, tau_grid) -> tuple[np.ndarray, np.ndarray]:
 
     Kernel-backed fast path used by the scans and the CLI; returns
     ``(probs, entropies)`` of shapes ``(T, M'+1)`` and ``(T,)``.  Raises
-    ValueError unless the grid is a non-empty 1-d array of finite times.
+    ValueError unless the grid is a non-empty 1-d array of finite times,
+    and :class:`NormalizationError` when the kernel's drift, the largest
+    |sum(P) - 1| over the rows, exceeds ``NORMALIZATION_TOLERANCE`` or is NaN.
     """
     taus = np.ascontiguousarray(tau_grid, dtype=float)
     if taus.ndim != 1 or taus.size == 0:
@@ -127,18 +120,9 @@ def entropy_grid(spec: ModelSpec, tau_grid) -> tuple[np.ndarray, np.ndarray]:
     if not np.isfinite(taus).all():
         raise ValueError("tau grid must hold finite times only")
     table = exact_table(spec)
-    probs, entropies = backend.schmidt_entropy_grid(
+    probs, entropies, drift = backend.schmidt_entropy_grid(
         table.array, table.phases, table.degeneracy, taus
     )
-    # row sums a chunk of at most BLOCK_BYTES of probabilities at a time, so
-    # the check holds no grid-length temporary; np.maximum keeps a NaN
-    rows = max(1, backend.BLOCK_BYTES // probs[0].nbytes)
-    drift = 0.0
-    for first in range(0, probs.shape[0], rows):
-        sums = probs[first : first + rows].sum(axis=1)
-        sums -= 1.0
-        drift = np.maximum(drift, np.abs(sums, out=sums).max())
-    drift = float(drift)
     if not drift <= NORMALIZATION_TOLERANCE:  # NaN fails too
         raise NormalizationError(f"normalization drift {drift!r} on tau grid")
     return probs, entropies

@@ -22,7 +22,6 @@ class AmplitudeVector:
     T times, with the mixing table they came from."""
 
     table: BCoefficientTable
-    tau: float | np.ndarray
     amplitudes: np.ndarray
 
 
@@ -43,5 +42,4 @@ def amplitudes_at(spec: ModelSpec, table: BCoefficientTable, tau) -> AmplitudeVe
     with np.errstate(over="ignore", invalid="ignore"):
         angles = np.multiply.outer(taus, table.phases)
         oscillation = np.cos(angles) + 1j * np.sin(angles)
-    tau = float(taus) if taus.ndim == 0 else taus
-    return AmplitudeVector(table, tau, oscillation @ table.array.T)
+    return AmplitudeVector(table, oscillation @ table.array.T)

@@ -130,18 +130,16 @@ class SectorHamiltonian:
 
     @property
     def matrix(self) -> np.ndarray:
-        """The dense d x d matrix L^T L - M, built from the table on each
-        access.  L^T L sums, over the (M-1)-sector states j, the outer
-        product of row j of L with itself: a one at each pair of the states
-        that lower to j."""
-        dim, count = self.lowering.shape
-        lowered = self.lowering.ravel()
-        order = np.argsort(lowered, kind="stable")
-        dense = np.zeros((dim, dim))
-        np.fill_diagonal(dense, -count)
-        # order // count: the state whose row holds each sorted entry
-        for members in np.split(order // count, np.flatnonzero(np.diff(lowered[order])) + 1):
-            np.add.at(dense, np.ix_(members, members), 1.0)
+        """The dense d x d matrix of :meth:`apply`, built on each access one
+        column at a time, as the product with each unit vector: d products
+        of O(d M) each, so tests check the product that propagation runs."""
+        dim = self.lowering.shape[0]
+        dense = np.empty((dim, dim))
+        unit = np.zeros(dim)
+        for column in range(dim):
+            unit[column] = 1.0
+            dense[:, column] = self.apply(unit)
+            unit[column] = 0.0
         return dense
 
     def eigensystem(self) -> tuple[np.ndarray, np.ndarray]:
@@ -409,12 +407,6 @@ class VerificationReport:
         )
 
 
-def _zero_padded(rows: np.ndarray, width: int) -> np.ndarray:
-    padded = np.zeros((rows.shape[0], width))
-    padded[:, : rows.shape[1]] = rows
-    return padded
-
-
 def verify_closed_form(spec: ModelSpec, tau_samples) -> VerificationReport:
     """Compare closed-form Schmidt spectra and entropies against the sector
     pipeline at each sample time.
@@ -429,10 +421,11 @@ def verify_closed_form(spec: ModelSpec, tau_samples) -> VerificationReport:
     :func:`von_neumann_entropy` call, so its evolved amplitudes stay within
     that budget whatever the sample count; Lanczos runs in the first
     :func:`propagate` call only, and the Schmidt index maps are built in the
-    first :func:`schmidt_eigenvalues` call only.  Each chunk's spectra are
-    zero-padded to a common length and compared in descending order.
-    Raises ValueError unless the samples are finite and non-empty; a NaN
-    deviation fails the report.
+    first :func:`schmidt_eigenvalues` call only.  Both closed forms are
+    stacked and compared with each chunk at once, in descending order: the
+    oracle's first M'+1 eigenvalues with their M'+1 probabilities, and the
+    rest of its 2^M' with zero.  Raises ValueError unless the samples are
+    finite and non-empty; a NaN deviation fails the report.
     """
     from .entanglement import entropy, entropy_grid, exact_table, schmidt_spectrum
     from .evolution import amplitudes_at
@@ -443,34 +436,31 @@ def verify_closed_form(spec: ModelSpec, tau_samples) -> VerificationReport:
     # built once: the kernel path below reads the same table
     reference = schmidt_spectrum(amplitudes_at(spec, exact_table(spec), taus))
     kernel_probs, kernel_entropies = entropy_grid(spec, taus)
-    closed_forms = [
-        (np.sort(probs, axis=1)[:, ::-1], entropies)
-        for probs, entropies in (
-            (reference.probabilities, entropy(reference)),
-            (kernel_probs, kernel_entropies),
-        )
-    ]
+    # both closed forms at once: descending spectra (2, T, M'+1), entropies (2, T)
+    closed_spectra = np.stack([reference, kernel_probs])
+    closed_spectra.sort(axis=-1)
+    closed_spectra = closed_spectra[..., ::-1]
+    closed_entropies = np.stack([entropy(reference), kernel_entropies])
     hamiltonian = build_sector_hamiltonian(spec.n_total, spec.m_excited)
     initial = initial_sector_state(hamiltonian.basis)
     step = max(1, CHUNK_BYTES // (16 * hamiltonian.basis.patterns.size))
-    # np.maximum propagates NaN, where the builtin max would drop it
+    width = spec.m_prime + 1
+    # np.max propagates NaN, where the builtin max would drop it
     spectrum_deviation = entropy_deviation = 0.0
     for first in range(0, taus.size, step):
         chunk = slice(first, first + step)
         oracle_eig = schmidt_eigenvalues(
             propagate(hamiltonian, initial, taus[chunk]), spec.m_excited
         )
-        oracle_entropies = von_neumann_entropy(oracle_eig)
-        width = max(oracle_eig.shape[1], spec.m_prime + 1)
-        oracle_spectra = _zero_padded(oracle_eig, width)
-        for spectra, entropies in closed_forms:
-            closed = _zero_padded(spectra[chunk], width)
-            spectrum_deviation = np.maximum(
-                spectrum_deviation, np.max(np.abs(closed - oracle_spectra))
-            )
-            entropy_deviation = np.maximum(
-                entropy_deviation, np.max(np.abs(entropies[chunk] - oracle_entropies))
-            )
+        spectrum_deviation = np.max((
+            spectrum_deviation,
+            np.abs(closed_spectra[:, chunk] - oracle_eig[:, :width]).max(),
+            np.abs(oracle_eig[:, width:]).max(initial=0.0),
+        ))
+        entropy_deviation = np.max((
+            entropy_deviation,
+            np.abs(closed_entropies[:, chunk] - von_neumann_entropy(oracle_eig)).max(),
+        ))
     return VerificationReport(
         spec, taus.size, float(spectrum_deviation), float(entropy_deviation)
     )

@@ -235,15 +235,6 @@ class TestLongTables:
         assert pools == ([1] if two_processes else [])
         assert multiprocessing.active_children() == []
 
-    def test_figures_bytes_do_not_depend_on_processes(self, tmp_path, monkeypatch, pools, fig_dir):
-        # every per-N table of fig1 and fig2 is cut between the two processes
-        report_cpus(monkeypatch, 2)
-        monkeypatch.setattr(cli, "PARALLEL_FORMAT_VALUES", 1)
-        assert main(["figures", "--out-dir", str(tmp_path)]) == 0
-        for name in ("fig1.csv", "fig2.csv", "fig3.csv"):
-            assert (tmp_path / name).read_bytes() == (fig_dir / name).read_bytes(), name
-        assert pools == ([1, 1] if FORK else [])
-
     @pytest.mark.skipif(not FORK, reason="the second process needs the fork start method")
     def test_worker_failure_writes_nothing(self, tmp_path, monkeypatch, capsys, pools):
         report_cpus(monkeypatch, 2)

@@ -41,23 +41,23 @@ def spectrum_at(n: int, m: int, tau: float):
 
 class TestSchmidtSpectrum:
     def test_two_site_balanced(self):
-        probs = spectrum_at(2, 1, math.pi / 4).probabilities
+        probs = spectrum_at(2, 1, math.pi / 4)
         assert np.max(np.abs(probs - 0.5)) < 1e-12
 
     def test_initial_product_state(self):
         for n in (2, 5, 9):
-            probs = spectrum_at(n, 1, 0.0).probabilities
+            probs = spectrum_at(n, 1, 0.0)
             assert abs(probs[0] - 1.0) < 1e-12
             assert probs[1] < 1e-12
 
     def test_seven_site_rationals(self):
-        probs = spectrum_at(7, 1, math.pi / 7).probabilities
+        probs = spectrum_at(7, 1, math.pi / 7)
         assert abs(probs[0] - 25.0 / 49.0) < 1e-12
         assert abs(probs[1] - 24.0 / 49.0) < 1e-12
 
     def test_unnormalized_input_rejected(self):
         spec = ModelSpec(2, 1)
-        bad = AmplitudeVector(b_table(spec), 0.0, np.array([0.9, 0.1], dtype=complex))
+        bad = AmplitudeVector(b_table(spec), np.array([0.9, 0.1], dtype=complex))
         with pytest.raises(NormalizationError):
             schmidt_spectrum(bad)
 
@@ -66,9 +66,9 @@ class TestSchmidtSpectrum:
         table = b_table(spec)
         taus = np.linspace(0.0, 3.0, 7)
         stacked = schmidt_spectrum(amplitudes_at(spec, table, taus))
-        assert stacked.probabilities.shape == (7, spec.m_prime + 1)
-        for tau, row in zip(taus, stacked.probabilities):
-            single = schmidt_spectrum(amplitudes_at(spec, table, tau)).probabilities
+        assert stacked.shape == (7, spec.m_prime + 1)
+        for tau, row in zip(taus, stacked):
+            single = schmidt_spectrum(amplitudes_at(spec, table, tau))
             assert np.max(np.abs(single - row)) <= 1e-15
 
     @pytest.mark.parametrize("row", [0, 3, 6])
@@ -83,7 +83,7 @@ class TestSchmidtSpectrum:
         else:
             amplitudes[row, 1] = math.nan
         with pytest.raises(NormalizationError):
-            schmidt_spectrum(AmplitudeVector(table, taus, amplitudes))
+            schmidt_spectrum(AmplitudeVector(table, amplitudes))
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_nan_amplitudes_rejected(self):

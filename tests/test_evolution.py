@@ -112,11 +112,9 @@ class TestAmplitudesAt:
         taus = np.random.default_rng(n).uniform(-4.0 * math.pi, 4.0 * math.pi, 9)
         stacked = amplitudes_at(spec, table, taus)
         assert stacked.amplitudes.shape == (9, spec.m_prime + 1)
-        assert np.array_equal(stacked.tau, taus)
         for tau, row in zip(taus, stacked.amplitudes):
             single = amplitudes_at(spec, table, tau)
             assert single.amplitudes.shape == (spec.m_prime + 1,)
-            assert isinstance(single.tau, float)
             assert np.max(np.abs(single.amplitudes - row)) <= 1e-15
 
     def test_two_dimensional_tau_rejected(self):

@@ -33,7 +33,7 @@ def test_kernel_matches_reference_amplitudes():
     table = b_table(spec)
     coeffs, phases, degeneracy = table.array, table.phases, table.degeneracy
     taus = np.array([0.0, 0.37, 2.11])
-    probs, _ = backend.schmidt_entropy_grid(coeffs, phases, degeneracy, taus)
+    probs, _, _ = backend.schmidt_entropy_grid(coeffs, phases, degeneracy, taus)
     for i, tau in enumerate(taus):
         amps = amplitudes_at(spec, table, float(tau)).amplitudes
         expected = degeneracy * np.abs(amps) ** 2
@@ -43,7 +43,7 @@ def test_kernel_matches_reference_amplitudes():
 def test_zero_probability_entropy_guard():
     spec = ModelSpec(4, 1)
     coeffs, phases, degeneracy = table_arrays(spec)
-    probs, entropies = backend.schmidt_entropy_grid(
+    probs, entropies, _ = backend.schmidt_entropy_grid(
         coeffs, phases, degeneracy, np.array([0.0])
     )
     assert np.isfinite(entropies).all()
@@ -126,7 +126,7 @@ def worker_counts(monkeypatch):
 
 def _assert_rows_match_single_row_calls(inputs, length):
     taus = np.random.default_rng(length).uniform(-20.0, 20.0, length)
-    probs, entropies = backend.schmidt_entropy_grid(*inputs, taus)
+    probs, entropies, _ = backend.schmidt_entropy_grid(*inputs, taus)
     assert probs.shape == (length, inputs[1].size)
     assert entropies.shape == (length,)
     # every row next to a block boundary or a grid end, and a stride between;
@@ -136,7 +136,7 @@ def _assert_rows_match_single_row_calls(inputs, length):
     edges = {k + d for k in boundaries for d in range(-3, 3)}
     rows = sorted({*range(0, length, 61), *edges} & set(range(length)))
     for i in rows:
-        row_probs, row_entropy = backend.schmidt_entropy_grid(*inputs, taus[i : i + 1])
+        row_probs, row_entropy, _ = backend.schmidt_entropy_grid(*inputs, taus[i : i + 1])
         assert np.array_equal(row_probs[0], probs[i]), i
         assert np.array_equal(row_entropy[0], entropies[i]), i
     ref_probs, ref_entropies = _complex_reference(*inputs, taus)
@@ -183,7 +183,7 @@ def _assert_memory_is_output_plus_block_buffers(spec):
     inputs = table_arrays(spec)
     # 48 full blocks: every buffer is as large as the budget allows
     taus = np.linspace(0.0, 10.0, 48 * block_rows(inputs))
-    (probs, entropies), peak = traced_peak(backend.schmidt_entropy_grid, *inputs, taus)
+    (probs, entropies, _), peak = traced_peak(backend.schmidt_entropy_grid, *inputs, taus)
     assert peak < probs.nbytes + entropies.nbytes + kernel_allowance(inputs, 48)
 
 
@@ -195,18 +195,29 @@ def test_memory_is_output_plus_one_block():
 
 # M'+1 = 2 and 41
 @pytest.mark.parametrize("n_total, m_excited", [(40, 1), (80, 40)])
-def test_entropy_grid_memory_is_kernel_plus_one_drift_chunk(monkeypatch, n_total, m_excited):
-    # The normalization check sums the rows of at most BLOCK_BYTES of
-    # probabilities at a time.  The kernel's buffers are freed before it
-    # runs, so a check over the whole grid at once shows only where its row
-    # sums outgrow them: at M'+1 = 2 those take 6 MiB each, and it holds two.
+def test_entropy_grid_memory_is_kernel_memory(monkeypatch, n_total, m_excited):
+    # the kernel measures the normalization drift in its block pass, so the
+    # check adds nothing to its output and block buffers
     report_cpus(monkeypatch, 2)
     spec = ModelSpec(n_total, m_excited)
     inputs = table_arrays(spec)
     taus = np.linspace(0.0, 10.0, 48 * block_rows(inputs))
     (probs, entropies), peak = traced_peak(entropy_grid, spec, taus)
-    drift_chunk = 8 * (backend.BLOCK_BYTES // probs[0].nbytes)
-    assert peak < probs.nbytes + entropies.nbytes + kernel_allowance(inputs, 48) + drift_chunk
+    assert peak < probs.nbytes + entropies.nbytes + kernel_allowance(inputs, 48)
+
+
+# M'+1 = 2 and 41, a one-block and a four-block grid, one and two workers
+@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize("blocks", [1, 4])
+@pytest.mark.parametrize("n_total, m_excited", [(40, 1), (80, 40)])
+def test_drift_is_max_row_sum_deviation(monkeypatch, worker_counts, n_total, m_excited, blocks, cpus):
+    report_cpus(monkeypatch, cpus)
+    inputs = table_arrays(ModelSpec(n_total, m_excited))
+    taus = np.random.default_rng(blocks).uniform(-20.0, 20.0, blocks * block_rows(inputs))
+    probs, _, drift = backend.schmidt_entropy_grid(*inputs, taus)
+    assert type(drift) is float
+    assert drift == np.abs(probs.sum(1) - 1).max()
+    assert worker_counts == ([] if min(cpus, blocks) == 1 else [2])
 
 
 def test_memory_bound_holds_with_many_cpus(monkeypatch, worker_counts):
@@ -250,7 +261,7 @@ def test_concurrent_callers_under_fast_thread_switching(monkeypatch):
             results = [future.result(timeout=60) for future in futures]
     finally:
         sys.setswitchinterval(interval)
-    for (probs, entropies), (want_probs, want_entropies) in zip(results, expected):
+    for (probs, entropies, _), (want_probs, want_entropies, _) in zip(results, expected):
         assert np.array_equal(probs, want_probs)
         assert np.array_equal(entropies, want_entropies)
 
@@ -268,7 +279,7 @@ def test_cpu_count_fallback(monkeypatch, worker_counts):
         return 2
 
     monkeypatch.setattr(os, "cpu_count", cpu_count)
-    probs, entropies = backend.schmidt_entropy_grid(*inputs, taus)
+    probs, entropies, _ = backend.schmidt_entropy_grid(*inputs, taus)
     assert asked
     assert worker_counts == [2]
     assert np.array_equal(probs, expected[0])
@@ -319,6 +330,17 @@ def test_overflow_in_worker_is_silent_and_rejected(monkeypatch, worker_counts):
     assert worker_counts == [2]
 
 
+def test_overflow_in_helper_share_is_rejected(monkeypatch, worker_counts):
+    # two blocks: the calling thread takes the first, the helper the second
+    report_cpus(monkeypatch, 2)
+    taus = np.linspace(0.0, 1.0, 2 * block_rows(table_arrays(ModelSpec(9, 4))))
+    taus[-1] = 1e308
+    with warnings.catch_warnings(), pytest.raises(NormalizationError, match="drift nan"):
+        warnings.simplefilter("error")
+        entropy_grid(ModelSpec(9, 4), taus)
+    assert worker_counts == [2]
+
+
 def test_two_block_grid_loads_no_thread_pool():
     # the helper is a plain thread: concurrent.futures would load logging
     script = """
@@ -352,8 +374,8 @@ def test_no_short_trailing_block(n_total, m_excited, length):
     inputs = table_arrays(ModelSpec(n_total, m_excited))
     length = grid_length(inputs, length)
     taus = np.random.default_rng(3).uniform(-20.0, 20.0, 3 * block_rows(inputs))
-    full_probs, full_entropies = backend.schmidt_entropy_grid(*inputs, taus)
-    probs, entropies = backend.schmidt_entropy_grid(*inputs, taus[:length])
+    full_probs, full_entropies, _ = backend.schmidt_entropy_grid(*inputs, taus)
+    probs, entropies, _ = backend.schmidt_entropy_grid(*inputs, taus[:length])
     assert np.array_equal(probs, full_probs[:length])
     assert np.array_equal(entropies, full_entropies[:length])
 
@@ -366,10 +388,10 @@ def test_grids_past_the_small_matrix_line_match_a_long_grid(n_total, m_excited):
     # may not (see the kernel's docstring).
     inputs = table_arrays(ModelSpec(n_total, m_excited))
     taus = np.random.default_rng(5).uniform(-20.0, 20.0, 40_000)
-    full_probs, full_entropies = backend.schmidt_entropy_grid(*inputs, taus)
+    full_probs, full_entropies, _ = backend.schmidt_entropy_grid(*inputs, taus)
     line = 600 // inputs[1].size
     for length in (line + 1, line + 2, 50, 5000):
-        probs, entropies = backend.schmidt_entropy_grid(*inputs, taus[:length])
+        probs, entropies, _ = backend.schmidt_entropy_grid(*inputs, taus[:length])
         assert np.array_equal(probs, full_probs[:length]), length
         assert np.array_equal(entropies, full_entropies[:length]), length
 

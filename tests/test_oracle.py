@@ -640,6 +640,20 @@ class TestVerifyClosedForm:
         assert math.isnan(report.max_entropy_deviation)
         assert not report.passed
 
+    def test_eigenvalues_past_the_closed_form_rank_are_checked(self, monkeypatch):
+        # at (6,3) the oracle has 2^3 = 8 eigenvalues and the closed forms 4:
+        # the last four must be compared with zero
+        def tail_raised(state, size):
+            eig = schmidt_eigenvalues(state, size).copy()
+            assert eig.shape[1] == 8
+            eig[:, -1] = 1e-7
+            return eig
+
+        monkeypatch.setattr(oracle, "schmidt_eigenvalues", tail_raised)
+        report = verify_closed_form(ModelSpec(6, 3), [0.0, 0.3, 0.7])
+        assert report.max_spectrum_deviation >= 1e-7
+        assert not report.passed
+
     def test_kernel_path_is_checked(self, monkeypatch):
         true_grid = entanglement.entropy_grid
 
