@@ -35,12 +35,14 @@ from .evolution import AmplitudeVector, amplitudes_at
 from .model import ModelSpec
 from .oracle import (
     BudgetExceededError,
+    KrylovEvolution,
     SectorBasis,
     SectorHamiltonian,
     SectorState,
     VerificationReport,
     build_sector_hamiltonian,
     initial_sector_state,
+    krylov_evolution,
     propagate,
     schmidt_eigenvalues,
     sector_basis,
@@ -57,6 +59,7 @@ __all__ = [
     "BCoefficientTable",
     "BudgetExceededError",
     "CriticalTimes",
+    "KrylovEvolution",
     "ModelSpec",
     "NormalizationError",
     "ScanRow",
@@ -75,6 +78,7 @@ __all__ = [
     "entropy_grid",
     "entropy_rate_m1",
     "initial_sector_state",
+    "krylov_evolution",
     "magic_number_scan",
     "max_entropy_at_t2",
     "propagate",

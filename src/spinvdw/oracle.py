@@ -11,23 +11,23 @@ state listing the (M-1)-sector states that emptying one of its M occupied
 sites gives: S- v scatters each entry of v onto its row, S+ gathers the
 rows back, one table column at a time, so H v takes O(d M) time and O(d)
 memory besides the table, where a dense d x d matrix would take O(d^2).
-Propagation runs real Lanczos on that product, once from the real and once
-from the imaginary part of the start state (a zero part is skipped), until
-the residual vanishes, so each cyclic subspace is invariant and
-exp(-i H tau) acts on it exactly through one small tridiagonal
-eigendecomposition.  The subspace is found from the Hamiltonian
-and the start vector alone: nothing sizes it from the model.  One call
-evolves to every time of a 1-d tau array at once, and a Hamiltonian keeps
-the Krylov spectra of the last start state it evolved, so a later call from
-the same state runs no Lanczos step.
+:func:`krylov_evolution` runs real Lanczos on that product, once from the
+real and once from the imaginary part of the start state (a zero part is
+skipped), until the residual vanishes, so each cyclic subspace is invariant
+and exp(-i H tau) acts on it exactly through one small tridiagonal
+eigendecomposition.  The subspace is found from the Hamiltonian and the
+start vector alone: nothing sizes it from the model.  The caller holds the
+resulting :class:`KrylovEvolution`, and each :func:`propagate` call
+evaluates it at every time of a 1-d tau array at once, without a Lanczos
+step.
 
 The reduced density of a sector state is block diagonal in the kept side's
 excitation count, because the Hamiltonian conserves excitation number.
 :func:`schmidt_eigenvalues` diagonalizes it block by block, for a whole stack
 of states per call, without forming the 2^M x 2^(N-M) coefficient matrix;
-it uses no permutation symmetry of the sites.  A basis keeps its block
-index maps per partition size, so repeated calls on one sector build them
-once.
+it uses no permutation symmetry of the sites.  The block index maps of the
+last sector and partition size are memoized, so repeated calls on one
+sector build them once.
 
 Everything here is rebuilt from the Hamiltonian itself, independently of
 the closed-form modules, so that :func:`verify_closed_form` can compare the
@@ -40,17 +40,17 @@ require.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
 from .model import ModelSpec
 
 # Sector budget: C(24, 12) = 2704156 sector states.  The worst sector,
-# (24,12), verifies 8 samples in 22 s at 667 MiB peak RSS, 64 samples in
-# 93 s at 669 MiB (one fresh process, 2-vCPU Xeon, numpy 2.4.6, one BLAS
+# (24,12), verifies 8 samples in 22 s at 627 MiB peak RSS, 64 samples in
+# 93 s at 627 MiB (one fresh process, 2-vCPU Xeon, numpy 2.4.6, one BLAS
 # thread).  Lanczos sets that peak: the 130 MB table, a 16-row basis of
 # 346 MB and the product's few d-length vectors of 22 MB each.  (26,13)
 # would need about 2.5 GB.
@@ -73,22 +73,13 @@ class BudgetExceededError(ValueError):
 
 @dataclass(frozen=True)
 class SectorBasis:
-    """Fixed-excitation-number basis; site j maps to bit j, patterns ascending.
-
-    ``patterns`` is a read-only int64 array; ``states`` holds the same
-    patterns as a tuple of Python ints, built on first access.
-    """
+    """Fixed-excitation-number basis; site j maps to bit j.  ``patterns``
+    is the read-only, ascending int64 array of the sector's bit patterns."""
 
     n_total: int
     excitation_count: int
-    # follows from (n_total, excitation_count), so equality skips it
+    # follows from (n_total, excitation_count), so equality and hash skip it
     patterns: np.ndarray = field(compare=False, repr=False)
-    # the Schmidt blocks per partition size, built on first use
-    _blocks: dict = field(default_factory=dict, init=False, compare=False, repr=False)
-
-    @cached_property
-    def states(self) -> tuple[int, ...]:
-        return tuple(self.patterns.tolist())
 
 
 @dataclass(frozen=True, eq=False)
@@ -103,8 +94,6 @@ class SectorHamiltonian:
 
     basis: SectorBasis
     lowering: np.ndarray
-    # [start amplitudes, their Krylov spectra] of the last start state evolved
-    _krylov: list = field(default_factory=list, init=False, repr=False)
 
     @property
     def frobenius(self) -> float:
@@ -153,6 +142,17 @@ class SectorState:
 
     basis: SectorBasis
     amplitudes: np.ndarray
+
+
+@dataclass(frozen=True, eq=False)
+class KrylovEvolution:
+    """A start state's evolution under a sector Hamiltonian, ready to
+    evaluate at any time: ``parts`` holds (scale, Q, Theta, S) for each
+    nonzero part x of the start amplitudes, where scale is |x|, times i for
+    the imaginary part, and the rest is :func:`_krylov_spectrum` of x / |x|."""
+
+    basis: SectorBasis
+    parts: tuple
 
 
 def sector_basis(n_total: int, excitation_count: int) -> SectorBasis:
@@ -247,65 +247,65 @@ def _krylov_spectrum(product, frobenius: float, start: np.ndarray) -> tuple:
     return subspace, theta, rotation
 
 
-def _krylov_parts(h: SectorHamiltonian, amplitudes: np.ndarray) -> list:
-    """(scale, Q, Theta, S) for each nonzero part x of the start amplitudes:
-    scale is |x|, times i for the imaginary part, and the rest is
-    :func:`_krylov_spectrum` of x / |x|.  ``h`` keeps the parts of the last
-    start amplitudes it was given and hands them out again while the
-    amplitudes are unchanged."""
-    cached = h._krylov
-    if cached and np.array_equal(cached[0], amplitudes):
-        return cached[1]
+def krylov_evolution(h: SectorHamiltonian, initial: SectorState) -> KrylovEvolution:
+    """Lanczos from the start state, for :func:`propagate` to evaluate.
+
+    H is real, so U(a + ib) = Ua + iUb: each nonzero part x of the start
+    state takes one real :func:`_krylov_spectrum` pass, and each Lanczos
+    step applies the lowering table twice.  The evolution keeps no reference
+    to the start amplitudes, so later edits of them do not reach it.
+    Raises ValueError when the state and the Hamiltonian use different bases
+    or the start state has a non-finite amplitude.
+    """
+    if h.basis != initial.basis:
+        raise ValueError("state and Hamiltonian use different bases")
+    amplitudes = np.asarray(initial.amplitudes, dtype=complex)
+    if not np.isfinite(amplitudes).all():
+        raise ValueError("start state has a non-finite amplitude")
     parts = []
     for unit, part in ((1.0, amplitudes.real), (1j, amplitudes.imag)):
         norm = float(np.linalg.norm(part))
         if norm != 0.0:
             parts.append((unit * norm, *_krylov_spectrum(h.apply, h.frobenius, part / norm)))
-    cached[:] = [amplitudes.copy(), parts]
-    return parts
+    return KrylovEvolution(h.basis, tuple(parts))
 
 
-def propagate(h: SectorHamiltonian, initial: SectorState, tau) -> SectorState:
-    """exp(-i H tau) applied in the Krylov subspace of the start state.
+def propagate(evolution: KrylovEvolution, tau) -> SectorState:
+    """exp(-i H tau) applied to the start state of ``evolution``.
 
     ``tau`` is a scalar or a 1-d array of times; the amplitudes have shape
-    ``tau.shape + (d,)``.  H is real, so U(a + ib) = Ua + iUb: each nonzero
-    part x of the start state takes one real :func:`_krylov_spectrum` pass,
-    and psi(tau) sums |x| (exp(-i tau Theta) * S[0, :]) S^T Q over the parts,
-    times i for the imaginary one.  Each Lanczos step applies the lowering
-    table twice.  The passes are kept on ``h`` for the next call from the
-    same start amplitudes, so a run of calls over slices of one time array
-    runs Lanczos once.  Every time then costs O(d k) for a k-vector
-    subspace: the complex weights meet the real Q in two real products.  A
-    zero start state evolves to the zero state.  Raises ValueError for a
-    non-finite tau or a start state with a non-finite amplitude.
+    ``tau.shape + (d,)``.  psi(tau) sums |x| (exp(-i tau Theta) * S[0, :])
+    S^T Q over the parts of :func:`krylov_evolution`, times i for the
+    imaginary one, and runs no Lanczos step.  Every time costs O(d k) for a
+    k-vector subspace: the complex weights meet the real Q in two real
+    products.  A zero start state evolves to the zero state.  Raises
+    ValueError for a non-finite tau.
     """
-    if h.basis != initial.basis:
-        raise ValueError("state and Hamiltonian use different bases")
     taus = np.asarray(tau, dtype=float)
     if not np.isfinite(taus).all():
         raise ValueError(f"tau must be finite, got {tau!r}")
-    amplitudes = np.asarray(initial.amplitudes, dtype=complex)
-    if not np.isfinite(amplitudes).all():
-        raise ValueError("start state has a non-finite amplitude")
-    evolved = np.zeros(taus.shape + amplitudes.shape, dtype=complex)
-    for scale, vectors, theta, rotation in _krylov_parts(h, amplitudes):
+    evolved = np.zeros(taus.shape + evolution.basis.patterns.shape, dtype=complex)
+    for scale, vectors, theta, rotation in evolution.parts:
         phased = np.exp(-1j * np.multiply.outer(taus, theta)) * rotation[0]
         weights = scale * (phased @ rotation.T)
         evolved.real += weights.real @ vectors
         evolved.imag += weights.imag @ vectors
-    return SectorState(h.basis, evolved)
+    return SectorState(evolution.basis, evolved)
 
 
-def _schmidt_blocks(basis: SectorBasis, partition_size: int) -> list:
+@functools.lru_cache(maxsize=1)
+def _schmidt_blocks(basis: SectorBasis, partition_size: int) -> tuple:
     """(gather, shape) per occurring kept-side excitation count k, on the
     smaller side of the cut: the amplitudes at ``gather`` form block k,
     rows indexed by the kept pattern and columns by the traced one.  Every
     kept pattern with k excitations meets every traced one with M - k, so
-    the block is full and ``gather`` lists each of its members once.  Built
-    once per basis and partition size."""
-    if partition_size in basis._blocks:
-        return basis._blocks[partition_size]
+    the block is full and ``gather`` lists each of its members once.
+
+    Memoized for the last (basis, partition size) key.  A basis hashes by
+    (n_total, excitation_count), from which its patterns follow, so
+    separately built bases of one sector share the maps.  The last sector's
+    maps, d int64 values, stay alive after :func:`verify_closed_form`
+    returns."""
     patterns = basis.patterns
     kept, traced = patterns & ((1 << partition_size) - 1), patterns >> partition_size
     kept_sites = min(partition_size, basis.n_total - partition_size)
@@ -324,8 +324,7 @@ def _schmidt_blocks(basis: SectorBasis, partition_size: int) -> list:
         gather = np.empty_like(members)
         gather[row * cols.size + col] = members
         blocks.append((gather, (rows.size, cols.size)))
-    basis._blocks[partition_size] = blocks
-    return blocks
+    return tuple(blocks)
 
 
 def schmidt_eigenvalues(state: SectorState, partition_size: int) -> np.ndarray:
@@ -338,8 +337,8 @@ def schmidt_eigenvalues(state: SectorState, partition_size: int) -> np.ndarray:
     add zeros).  Excitation number is conserved, so rho is block diagonal in
     the kept side's excitation count k: block k is C_k C_k^dagger, where C_k
     holds the amplitudes whose kept half has k excitations, rows indexed by
-    the kept pattern and columns by the traced one.  The basis keeps the
-    blocks' index maps (:func:`_schmidt_blocks`); each block then takes one
+    the kept pattern and columns by the traced one.  The blocks' index maps
+    are memoized (:func:`_schmidt_blocks`); each block then takes one
     gather, one batched product and one batched ``eigvalsh``.  For a pure
     state both sides share the nonzero spectrum, so tracing to the smaller
     subsystem is free accuracy and memory.  Raises ValueError for a
@@ -419,12 +418,12 @@ def verify_closed_form(spec: ModelSpec, tau_samples) -> VerificationReport:
     scores the samples a chunk at a time, max(1, ``CHUNK_BYTES`` // (16 d))
     samples per :func:`propagate`, :func:`schmidt_eigenvalues` and
     :func:`von_neumann_entropy` call, so its evolved amplitudes stay within
-    that budget whatever the sample count; Lanczos runs in the first
-    :func:`propagate` call only, and the Schmidt index maps are built in the
-    first :func:`schmidt_eigenvalues` call only.  Both closed forms are
-    stacked and compared with each chunk at once, in descending order: the
-    oracle's first M'+1 eigenvalues with their M'+1 probabilities, and the
-    rest of its 2^M' with zero.  Raises ValueError unless the samples are
+    that budget whatever the sample count.  Lanczos runs once per sector, in
+    :func:`krylov_evolution` before the first chunk, and the Schmidt index
+    maps are built in the first :func:`schmidt_eigenvalues` call only.  Both
+    closed forms are stacked and compared with each chunk at once, in
+    descending order: the oracle's first M'+1 eigenvalues with their M'+1
+    probabilities, and the rest of its 2^M' with zero.  Raises ValueError unless the samples are
     finite and non-empty; a NaN deviation fails the report.
     """
     from .entanglement import entropy, entropy_grid, exact_table, schmidt_spectrum
@@ -442,16 +441,14 @@ def verify_closed_form(spec: ModelSpec, tau_samples) -> VerificationReport:
     closed_spectra = closed_spectra[..., ::-1]
     closed_entropies = np.stack([entropy(reference), kernel_entropies])
     hamiltonian = build_sector_hamiltonian(spec.n_total, spec.m_excited)
-    initial = initial_sector_state(hamiltonian.basis)
+    evolution = krylov_evolution(hamiltonian, initial_sector_state(hamiltonian.basis))
     step = max(1, CHUNK_BYTES // (16 * hamiltonian.basis.patterns.size))
     width = spec.m_prime + 1
     # np.max propagates NaN, where the builtin max would drop it
     spectrum_deviation = entropy_deviation = 0.0
     for first in range(0, taus.size, step):
         chunk = slice(first, first + step)
-        oracle_eig = schmidt_eigenvalues(
-            propagate(hamiltonian, initial, taus[chunk]), spec.m_excited
-        )
+        oracle_eig = schmidt_eigenvalues(propagate(evolution, taus[chunk]), spec.m_excited)
         spectrum_deviation = np.max((
             spectrum_deviation,
             np.abs(closed_spectra[:, chunk] - oracle_eig[:, :width]).max(),

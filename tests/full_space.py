@@ -20,6 +20,7 @@ from spinvdw.oracle import (
     BudgetExceededError,
     build_sector_hamiltonian,
     initial_sector_state,
+    krylov_evolution,
     propagate,
     sector_basis,
 )
@@ -110,7 +111,8 @@ def full_space_crosscheck(n_total: int, m_excited: int, tau) -> float:
     """
     full = full_space_propagate(n_total, m_excited, tau)
     hamiltonian = build_sector_hamiltonian(n_total, m_excited)
-    sector = propagate(hamiltonian, initial_sector_state(hamiltonian.basis), tau)
+    evolution = krylov_evolution(hamiltonian, initial_sector_state(hamiltonian.basis))
+    sector = propagate(evolution, tau)
     embedded = np.zeros_like(full)
     embedded[..., sector.basis.patterns] = sector.amplitudes
     return float(np.max(np.abs(full - embedded)))

@@ -106,8 +106,9 @@ class TestEntropy:
         value = entropy((24.0 / 49.0, 25.0 / 49.0))
         assert abs(value - 0.9997) < 5e-5
 
-    def test_accepts_spectrum_objects(self):
+    def test_accepts_the_schmidt_spectrum_array(self):
         spectrum = spectrum_at(2, 1, math.pi / 4)
+        assert isinstance(spectrum, np.ndarray) and spectrum.shape == (2,)
         assert abs(entropy(spectrum) - 1.0) < 1e-12
 
     @pytest.mark.parametrize(

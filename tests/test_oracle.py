@@ -20,6 +20,7 @@ from spinvdw.oracle import (
     SectorState,
     build_sector_hamiltonian,
     initial_sector_state,
+    krylov_evolution,
     propagate,
     schmidt_eigenvalues,
     sector_basis,
@@ -39,30 +40,25 @@ from full_space import (
 class TestSectorBasis:
     def test_dimension_and_order(self):
         basis = sector_basis(4, 2)
-        assert basis.states == (0b0011, 0b0101, 0b0110, 0b1001, 0b1010, 0b1100)
+        assert basis.patterns.tolist() == [0b0011, 0b0101, 0b0110, 0b1001, 0b1010, 0b1100]
 
     def test_vacuum(self):
-        assert sector_basis(3, 0).states == (0,)
+        assert sector_basis(3, 0).patterns.tolist() == [0]
 
     def test_int64_pattern_width_is_the_limit(self):
-        assert sector_basis(63, 1).states[-1] == 1 << 62
+        assert sector_basis(63, 1).patterns[-1] == 1 << 62
         with pytest.raises(BudgetExceededError, match="63 sites"):
             sector_basis(64, 1)
-
-    def test_patterns_array_matches_states(self):
-        basis = sector_basis(9, 4)
-        assert basis.patterns.dtype == np.int64 and not basis.patterns.flags.writeable
-        assert basis.patterns.tolist() == list(basis.states)
 
     def test_matches_sorted_combinations(self):
         for n in range(15):
             for k in range(n + 1):
-                reference = tuple(
-                    sorted(sum(1 << site for site in sites) for sites in combinations(range(n), k))
+                reference = sorted(
+                    sum(1 << site for site in sites) for sites in combinations(range(n), k)
                 )
-                states = sector_basis(n, k).states
-                assert states == reference
-                assert all(type(state) is int for state in states)
+                patterns = sector_basis(n, k).patterns
+                assert patterns.tolist() == reference
+                assert patterns.dtype == np.int64 and not patterns.flags.writeable
 
 
 class TestSectorHamiltonian:
@@ -102,10 +98,10 @@ class TestSectorHamiltonian:
         # emptied, lowest site first, from a loop over the sites
         for n in range(1, 9):
             for m in range(1, n + 1):
-                lowered = sector_basis(n, m - 1).states
+                lowered = sector_basis(n, m - 1).patterns.tolist()
                 expected = [
                     [lowered.index(state ^ (1 << site)) for site in range(n) if state >> site & 1]
-                    for state in sector_basis(n, m).states
+                    for state in sector_basis(n, m).patterns.tolist()
                 ]
                 assert build_sector_hamiltonian(n, m).lowering.tolist() == expected, (n, m)
 
@@ -124,7 +120,7 @@ class TestSectorHamiltonian:
     @pytest.mark.parametrize("n,m", [(13, 6), (14, 7)])
     def test_table_product_matches_dense(self, n, m):
         h = build_sector_hamiltonian(n, m)
-        vector = np.random.default_rng(n).normal(size=len(h.basis.states))
+        vector = np.random.default_rng(n).normal(size=h.basis.patterns.size)
         vector /= np.linalg.norm(vector)
         assert np.max(np.abs(h.apply(vector) - dense_sector_matrix(n, m) @ vector)) < 1e-15
 
@@ -153,7 +149,7 @@ class TestSectorHamiltonian:
         # the Pauli-product Hamiltonian is built independently of the sector code
         full = full_space_hamiltonian(n)
         for m in range(n + 1):
-            patterns = list(sector_basis(n, m).states)
+            patterns = sector_basis(n, m).patterns
             restricted = full[np.ix_(patterns, patterns)]
             assert np.array_equal(build_sector_hamiltonian(n, m).matrix, restricted)
 
@@ -168,19 +164,19 @@ def _assert_product_matches_hop_table(n: int, m: int) -> None:
 class TestPropagate:
     def test_two_site_rabi_quarter(self):
         h = build_sector_hamiltonian(2, 1)
-        state = propagate(h, initial_sector_state(sector_basis(2, 1)), math.pi / 4)
+        state = propagate(krylov_evolution(h, initial_sector_state(h.basis)), math.pi / 4)
         expected = np.array([math.cos(math.pi / 4), -1j * math.sin(math.pi / 4)])
         assert np.max(np.abs(state.amplitudes - expected)) < 1e-14
 
     def test_zero_time_is_identity(self):
         h = build_sector_hamiltonian(5, 2)
         psi0 = initial_sector_state(sector_basis(5, 2))
-        state = propagate(h, psi0, 0.0)
+        state = propagate(krylov_evolution(h, psi0), 0.0)
         assert np.max(np.abs(state.amplitudes - psi0.amplitudes)) < 1e-14
 
     def test_two_site_complete_transfer(self):
         h = build_sector_hamiltonian(2, 1)
-        state = propagate(h, initial_sector_state(sector_basis(2, 1)), math.pi / 2)
+        state = propagate(krylov_evolution(h, initial_sector_state(h.basis)), math.pi / 2)
         assert abs(state.amplitudes[0]) < 1e-14
         assert abs(abs(state.amplitudes[1]) - 1.0) < 1e-14
 
@@ -189,14 +185,15 @@ class TestPropagate:
         for n in range(2, 11):
             m = int(rng.integers(0, n + 1))
             h = build_sector_hamiltonian(n, m)
-            psi0 = initial_sector_state(sector_basis(n, m))
+            evolution = krylov_evolution(h, initial_sector_state(h.basis))
             for tau in rng.uniform(0.0, 4.0 * math.pi, 12):
-                state = propagate(h, psi0, tau)
+                state = propagate(evolution, tau)
                 assert abs(np.linalg.norm(state.amplitudes) - 1.0) < 1e-12
 
     def test_basis_mismatch(self):
-        with pytest.raises(ValueError):
-            propagate(build_sector_hamiltonian(3, 1), initial_sector_state(sector_basis(3, 2)), 0.1)
+        h, psi = build_sector_hamiltonian(3, 1), initial_sector_state(sector_basis(3, 2))
+        with pytest.raises(ValueError, match="different bases"):
+            krylov_evolution(h, psi)
 
     @pytest.mark.parametrize(
         "n,m,tau", [(2, 1, 0.4), (6, 3, 1.234), (9, 2, 5.0), (10, 7, 2.5)]
@@ -205,7 +202,7 @@ class TestPropagate:
         # a complex start state: a product that drops the imaginary part fails
         h = build_sector_hamiltonian(n, m)
         psi = _random_sector_state(n, m, seed=n + m)
-        evolved = propagate(h, psi, tau).amplitudes
+        evolved = propagate(krylov_evolution(h, psi), tau).amplitudes
         eigenvalues, vectors = h.eigensystem()
         reference = vectors @ (np.exp(-1j * eigenvalues * tau) * (vectors.T @ psi.amplitudes))
         assert np.max(np.abs(evolved - reference)) < 1e-12
@@ -240,17 +237,18 @@ class TestKrylovPropagate:
             assert np.max(np.abs(evolved - reference)) < 1e-12
             assert abs(np.linalg.norm(evolved) - 1.0) < 1e-12
 
-    def test_cache_follows_the_start_state(self):
+    def test_evolution_keeps_the_start_state_it_was_built_from(self):
+        # two evolutions of one Hamiltonian, evaluated in turn
         h = build_sector_hamiltonian(8, 3)
-        first = _random_sector_state(8, 3, seed=1)
-        second = _random_sector_state(8, 3, seed=2)
-        for psi, tau in ((first, 0.8), (second, 0.8), (second, 0.1), (first, 1.9)):
-            evolved = propagate(h, psi, tau).amplitudes
-            assert np.max(np.abs(evolved - _spectral_reference(h, psi.amplitudes, tau))) < 1e-12
-        # the cached state, changed in place: same object, same norm
-        first.amplitudes[:] = np.roll(first.amplitudes, 7)
-        evolved = propagate(h, first, 1.9).amplitudes
-        assert np.max(np.abs(evolved - _spectral_reference(h, first.amplitudes, 1.9))) < 1e-12
+        states = [_random_sector_state(8, 3, seed=seed) for seed in (1, 2)]
+        originals = [psi.amplitudes.copy() for psi in states]
+        evolutions = [krylov_evolution(h, psi) for psi in states]
+        # the start states, changed in place after the build: same objects, same norms
+        for psi in states:
+            psi.amplitudes[:] = np.roll(psi.amplitudes, 7)
+        for k, tau in ((0, 0.8), (1, 0.8), (1, 0.1), (0, 1.9)):
+            evolved = propagate(evolutions[k], tau).amplitudes
+            assert np.max(np.abs(evolved - _spectral_reference(h, originals[k], tau))) < 1e-12
 
     @pytest.mark.parametrize("n,m,dimension", [(13, 6, 7), (14, 7, 8), (9, 0, 1)])
     def test_product_state_subspace_dimension(self, n, m, dimension):
@@ -288,21 +286,22 @@ class TestKrylovPropagate:
 
     @pytest.mark.parametrize("tau", [math.nan, math.inf, -math.inf])
     def test_non_finite_tau_rejected(self, tau):
+        h = build_sector_hamiltonian(4, 2)
         with pytest.raises(ValueError, match="tau"):
-            propagate(build_sector_hamiltonian(4, 2), initial_sector_state(sector_basis(4, 2)), tau)
+            propagate(krylov_evolution(h, initial_sector_state(h.basis)), tau)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, math.nan)])
     def test_non_finite_start_rejected(self, bad):
         psi = initial_sector_state(sector_basis(5, 2))
         psi.amplitudes[3] = bad
         with pytest.raises(ValueError, match="non-finite"):
-            propagate(build_sector_hamiltonian(5, 2), psi, 0.5)
+            krylov_evolution(build_sector_hamiltonian(5, 2), psi)
 
     def test_zero_start_stays_zero(self):
         basis = sector_basis(5, 2)
-        zero = SectorState(basis, np.zeros(len(basis.states), dtype=complex))
-        evolved = propagate(build_sector_hamiltonian(5, 2), zero, 1.3).amplitudes
-        assert evolved.shape == (len(basis.states),)
+        zero = SectorState(basis, np.zeros(basis.patterns.size, dtype=complex))
+        evolved = propagate(krylov_evolution(build_sector_hamiltonian(5, 2), zero), 1.3).amplitudes
+        assert evolved.shape == (basis.patterns.size,)
         assert not evolved.any()
 
     def test_tau_array_gives_one_row_per_time(self, monkeypatch):
@@ -320,9 +319,9 @@ class TestKrylovPropagate:
         ):
             calls.clear()
             start = SectorState(psi.basis, amplitudes)
-            evolved = propagate(h, start, taus).amplitudes
+            evolved = propagate(krylov_evolution(h, start), taus).amplitudes
             assert len(calls) == passes
-            assert evolved.shape == (taus.size, len(psi.basis.states))
+            assert evolved.shape == (taus.size, psi.basis.patterns.size)
             for tau, row in zip(taus, evolved):
                 assert np.max(np.abs(row - _spectral_reference(h, amplitudes, tau))) < 1e-12
 
@@ -330,26 +329,29 @@ class TestKrylovPropagate:
         h = build_sector_hamiltonian(9, 4)
         psi = _random_sector_state(9, 4, seed=7)
         taus = np.linspace(-3.0, 9.0, 11)
-        whole = propagate(h, psi, taus).amplitudes
         calls = []
         krylov = oracle._krylov_spectrum
         monkeypatch.setattr(oracle, "_krylov_spectrum", lambda *a: calls.append(a) or krylov(*a))
-        fresh = build_sector_hamiltonian(9, 4)
-        rows = [propagate(fresh, psi, taus[i : i + 4]).amplitudes for i in range(0, 11, 4)]
+        evolution = krylov_evolution(h, psi)
         assert len(calls) == 2  # the real and the imaginary part, once each
+        whole = propagate(evolution, taus).amplitudes
+        rows = [propagate(evolution, taus[i : i + 4]).amplitudes for i in range(0, 11, 4)]
+        assert len(calls) == 2  # propagate runs no Lanczos step
         assert np.max(np.abs(np.concatenate(rows) - whole)) < 1e-14
 
     def test_zero_start_with_tau_array_stays_zero(self):
         basis = sector_basis(5, 2)
-        zero = SectorState(basis, np.zeros(len(basis.states), dtype=complex))
-        evolved = propagate(build_sector_hamiltonian(5, 2), zero, np.linspace(0.0, 2.0, 7))
-        assert evolved.amplitudes.shape == (7, len(basis.states))
+        zero = SectorState(basis, np.zeros(basis.patterns.size, dtype=complex))
+        evolution = krylov_evolution(build_sector_hamiltonian(5, 2), zero)
+        evolved = propagate(evolution, np.linspace(0.0, 2.0, 7))
+        assert evolved.amplitudes.shape == (7, basis.patterns.size)
         assert not evolved.amplitudes.any()
 
     def test_tau_array_with_nan_rejected(self):
         taus = np.array([0.1, 0.5, math.nan, 2.0])
+        h = build_sector_hamiltonian(4, 2)
         with pytest.raises(ValueError, match="tau"):
-            propagate(build_sector_hamiltonian(4, 2), initial_sector_state(sector_basis(4, 2)), taus)
+            propagate(krylov_evolution(h, initial_sector_state(h.basis)), taus)
 
 
 class TestReducedDensity:
@@ -357,7 +359,7 @@ class TestReducedDensity:
 
     def test_bell_like_state(self):
         h = build_sector_hamiltonian(2, 1)
-        state = propagate(h, initial_sector_state(sector_basis(2, 1)), math.pi / 4)
+        state = propagate(krylov_evolution(h, initial_sector_state(h.basis)), math.pi / 4)
         eigenvalues = schmidt_eigenvalues(state, 1)
         assert np.max(np.abs(eigenvalues - 0.5)) < 1e-14
 
@@ -368,7 +370,7 @@ class TestReducedDensity:
 
     def test_seven_site_rationals(self):
         h = build_sector_hamiltonian(7, 1)
-        state = propagate(h, initial_sector_state(sector_basis(7, 1)), math.pi / 7)
+        state = propagate(krylov_evolution(h, initial_sector_state(h.basis)), math.pi / 7)
         eigenvalues = schmidt_eigenvalues(state, 1)
         assert abs(eigenvalues[0] - 25.0 / 49.0) < 1e-9
         assert abs(eigenvalues[1] - 24.0 / 49.0) < 1e-9
@@ -376,7 +378,7 @@ class TestReducedDensity:
     def test_hermitian_unit_trace_psd(self):
         # eigvalsh of each Hermitian block: real, summing to the unit trace
         h = build_sector_hamiltonian(6, 3)
-        state = propagate(h, initial_sector_state(sector_basis(6, 3)), 1.234)
+        state = propagate(krylov_evolution(h, initial_sector_state(h.basis)), 1.234)
         eigenvalues = schmidt_eigenvalues(state, 3)
         assert eigenvalues.shape == (8,)
         assert abs(eigenvalues.sum() - 1.0) < 1e-10
@@ -387,8 +389,8 @@ class TestReducedDensity:
         rng = np.random.default_rng(4)
         for n, m in ((6, 2), (8, 3), (10, 5)):
             h = build_sector_hamiltonian(n, m)
-            psi0 = initial_sector_state(sector_basis(n, m))
-            state = propagate(h, psi0, float(rng.uniform(0, 2 * math.pi)))
+            evolution = krylov_evolution(h, initial_sector_state(h.basis))
+            state = propagate(evolution, float(rng.uniform(0, 2 * math.pi)))
             eig = schmidt_eigenvalues(state, m)
             assert int((eig > 1e-12).sum()) <= min(m, n - m) + 1
 
@@ -397,7 +399,7 @@ class TestReducedDensity:
         # NaN rows: eigvalsh has no defined result on such a block
         basis = sector_basis(4, 2)
         for bad in (math.nan, math.inf):
-            amplitudes = np.zeros((3, len(basis.states)), dtype=complex)
+            amplitudes = np.zeros((3, basis.patterns.size), dtype=complex)
             amplitudes[:, 0] = 1.0
             amplitudes[1, 2] = bad
             with pytest.raises(ValueError, match="non-finite"):
@@ -429,22 +431,28 @@ class TestReducedDensity:
     def test_block_maps_built_once_per_partition(self):
         basis = sector_basis(8, 3)
         blocks = oracle._schmidt_blocks(basis, 3)
-        assert oracle._schmidt_blocks(basis, 3) is blocks
-        assert oracle._schmidt_blocks(basis, 5) is not blocks
+        # a separately built basis of the same sector finds the same maps
+        assert oracle._schmidt_blocks(sector_basis(8, 3), 3) is blocks
         # the gathers of one partition list every basis state once
         assert sorted(np.concatenate([gather for gather, _ in blocks])) == list(range(56))
+        # another partition, or another sector, rebuilds them
+        for key in ((basis, 5), (sector_basis(8, 4), 3), (sector_basis(9, 3), 3)):
+            oracle._schmidt_blocks(basis, 3)
+            misses = oracle._schmidt_blocks.cache_info().misses
+            oracle._schmidt_blocks(*key)
+            assert oracle._schmidt_blocks.cache_info().misses == misses + 1, key
 
     def test_partition_relabeling_invariance(self):
         # permuting the sites of the state and cutting along the permuted
         # partition must leave the spectrum unchanged
         n, m, tau = 5, 2, 0.7
         h = build_sector_hamiltonian(n, m)
-        state = propagate(h, initial_sector_state(sector_basis(n, m)), tau)
+        state = propagate(krylov_evolution(h, initial_sector_state(h.basis)), tau)
         reference = np.sort(schmidt_eigenvalues(state, m))
 
         permutation = [2, 4, 1, 0, 3]  # image of each site
         full = np.zeros(1 << n, dtype=complex)
-        for pattern, amp in zip(state.basis.states, state.amplitudes):
+        for pattern, amp in zip(state.basis.patterns.tolist(), state.amplitudes):
             shuffled = 0
             for site in range(n):
                 if pattern >> site & 1:
@@ -460,7 +468,7 @@ class TestReducedDensity:
         # the last n-m sites (m > n/2)
         state = _random_sector_state(n, m, seed=10 * n + m)
         full = np.zeros(1 << n, dtype=complex)
-        full[list(state.basis.states)] = state.amplitudes
+        full[state.basis.patterns] = state.amplitudes
         # row index: bits of sites m..n-1, column index: bits of sites 0..m-1
         coefficients = full.reshape(1 << (n - m), 1 << m)
         rho_first = np.einsum("tk,tl->kl", coefficients, coefficients.conj())
@@ -483,7 +491,7 @@ class TestReducedDensity:
         basis = sector_basis(n, m)
         stacked = schmidt_eigenvalues(SectorState(basis, rows), size)
         full = np.zeros((3, 1 << n), dtype=complex)
-        full[:, list(basis.states)] = rows
+        full[:, basis.patterns] = rows
         # row index: bits of sites size..n-1, column index: bits of sites 0..size-1
         coefficients = full.reshape(3, 1 << (n - size), 1 << size)
         if size > n - size:
@@ -504,7 +512,7 @@ def _random_sector_state(n_sites: int, excitations: int, seed: int) -> SectorSta
     """Normalized sector state with random complex amplitudes."""
     basis = sector_basis(n_sites, excitations)
     rng = np.random.default_rng(seed)
-    amplitudes = rng.normal(size=len(basis.states)) + 1j * rng.normal(size=len(basis.states))
+    amplitudes = rng.normal(size=basis.patterns.size) + 1j * rng.normal(size=basis.patterns.size)
     return SectorState(basis, amplitudes / np.linalg.norm(amplitudes))
 
 
@@ -689,9 +697,9 @@ class TestVerifyClosedForm:
         rng = np.random.default_rng(9)
         for n in (3, 6, 9):
             h = build_sector_hamiltonian(n, 1)
-            psi0 = initial_sector_state(sector_basis(n, 1))
+            evolution = krylov_evolution(h, initial_sector_state(h.basis))
             for tau in rng.uniform(0.0, 2.0 * math.pi, 10):
-                state = propagate(h, psi0, tau)
+                state = propagate(evolution, tau)
                 oracle = von_neumann_entropy(schmidt_eigenvalues(state, 1))
                 p1 = 4.0 * (n - 1) / n**2 * math.sin(0.5 * n * tau) ** 2
                 analytic = 0.0
@@ -740,9 +748,9 @@ class TestVerifyClosedForm:
         sizes, krylov_calls = [], []
         true_propagate, krylov = oracle.propagate, oracle._krylov_spectrum
 
-        def counted_propagate(h, initial, tau):
+        def counted_propagate(evolution, tau):
             sizes.append(len(tau))
-            return true_propagate(h, initial, tau)
+            return true_propagate(evolution, tau)
 
         monkeypatch.setattr(oracle, "propagate", counted_propagate)
         monkeypatch.setattr(
@@ -761,6 +769,24 @@ class TestVerifyClosedForm:
         monkeypatch.setattr(oracle, "CHUNK_BYTES", 1)
         sizes.clear()
         assert verify_closed_form(spec, taus[:3]).passed and sizes == [1, 1, 1]
+
+    def test_block_maps_are_built_once_per_verify_sector(self, monkeypatch):
+        # (13,6): 256 KiB // (16 * 1716) = 9 samples a chunk, so 64 samples
+        # make 8 chunks, and only the first builds the Schmidt maps
+        chunks = []
+        true_propagate = oracle.propagate
+
+        def counted_propagate(evolution, tau):
+            chunks.append(len(tau))
+            return true_propagate(evolution, tau)
+
+        monkeypatch.setattr(oracle, "propagate", counted_propagate)
+        oracle._schmidt_blocks.cache_clear()
+        taus = np.random.default_rng(13).uniform(0, 4 * math.pi, 64)
+        assert verify_closed_form(ModelSpec(13, 6), taus).passed
+        assert chunks == [9] * 7 + [1]
+        info = oracle._schmidt_blocks.cache_info()
+        assert (info.misses, info.hits) == (1, 7)
 
     def test_peak_memory_is_bounded_by_the_chunk_budget(self):
         # tracemalloc sees numpy's buffers.  At (16,8) the peak must fit the
@@ -853,7 +879,7 @@ class TestFullSpaceCrosscheck:
         # full-space evolution must keep all weight in the initial sector
         for n, m in ((4, 1), (5, 2), (6, 3)):
             full = full_space_propagate(n, m, 2.345)
-            sector_patterns = set(sector_basis(n, m).states)
+            sector_patterns = set(sector_basis(n, m).patterns.tolist())
             leaked = [
                 abs(amp) for pattern, amp in enumerate(full)
                 if pattern not in sector_patterns
