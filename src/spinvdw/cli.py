@@ -255,8 +255,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
             pairs.extend((n, m) for m in range(0, n // 2 + 1))
         elif args.m <= n:
             pairs.append((n, args.m))
-    if not pairs:
-        raise UsageError(f"no (N, M) sectors to verify for m={args.m}, n-max={n_max}")
 
     # part of the stdout contract: kept byte-stable although the oracle holds a lowering table
     lines = ["closed-form verification against the dense sector Hamiltonian"]

@@ -21,11 +21,17 @@ resulting :class:`KrylovEvolution`, and each :func:`propagate` call
 evaluates it at every time of a 1-d tau array at once, without a Lanczos
 step.
 
-The reduced density of a sector state is block diagonal in the kept side's
-excitation count, because the Hamiltonian conserves excitation number.
-:func:`schmidt_eigenvalues` diagonalizes it block by block, for a whole stack
-of states per call, without forming the 2^M x 2^(N-M) coefficient matrix;
-it uses no permutation symmetry of the sites.  The block index maps of the
+The reduced density of a sector state is block diagonal in the traced
+side's excitation count, because the Hamiltonian conserves excitation
+number.  Each block of amplitudes is a slice of the basis order: the
+patterns ascend and the traced sites hold the high bits, so the states with
+j traced excitations fill their block row by row, one traced pattern per
+row and one kept pattern per column, with no sort or scatter.
+:func:`schmidt_eigenvalues` forms each block's Gram matrix on the smaller
+side of the cut, transposing the block (a view) where the kept side is the
+smaller one, and diagonalizes it block by block, for a whole stack of
+states per call, without forming the 2^M x 2^(N-M) coefficient matrix; it
+uses no permutation symmetry of the sites.  The block index maps of the
 last sector and partition size are memoized, so repeated calls on one
 sector build them once.
 
@@ -49,11 +55,12 @@ import numpy as np
 from .model import ModelSpec
 
 # Sector budget: C(24, 12) = 2704156 sector states.  The worst sector,
-# (24,12), verifies 8 samples in 22 s at 627 MiB peak RSS, 64 samples in
-# 93 s at 627 MiB (one fresh process, 2-vCPU Xeon, numpy 2.4.6, one BLAS
+# (24,12), verifies 8 samples in 22 s at 574 MiB peak RSS, 64 samples in
+# 93 s at 574 MiB (one fresh process, 2-vCPU Xeon, numpy 2.4.6, one BLAS
 # thread).  Lanczos sets that peak: the 130 MB table, a 16-row basis of
-# 346 MB and the product's few d-length vectors of 22 MB each.  (26,13)
-# would need about 2.5 GB.
+# 346 MB and the product's few d-length vectors of 22 MB each; the first
+# chunk's Schmidt maps and reduction stay below it.  (26,13) would need
+# about 2.5 GB.
 SECTOR_SITE_BUDGET = 24
 # Lanczos stops once its residual falls below this fraction of the
 # Hamiltonian's Frobenius norm, a bound on the spectral radius.
@@ -295,35 +302,32 @@ def propagate(evolution: KrylovEvolution, tau) -> SectorState:
 
 @functools.lru_cache(maxsize=1)
 def _schmidt_blocks(basis: SectorBasis, partition_size: int) -> tuple:
-    """(gather, shape) per occurring kept-side excitation count k, on the
-    smaller side of the cut: the amplitudes at ``gather`` form block k,
-    rows indexed by the kept pattern and columns by the traced one.  Every
-    kept pattern with k excitations meets every traced one with M - k, so
-    the block is full and ``gather`` lists each of its members once.
+    """(members, shape) per occurring count j of excitations on the traced
+    side, the sites from ``partition_size`` up: the amplitudes at
+    ``members`` reshaped to ``shape`` form block j, rows indexed by the
+    traced pattern and columns by the kept one, both ascending.
+
+    The patterns ascend and the traced sites hold the high bits, so the
+    states with j traced excitations sort by traced pattern first and by
+    kept pattern second.  Every traced pattern with j excitations meets
+    every kept one with M - j, so those states, in basis order, are the
+    block in row-major order: C(N - p, j) rows of C(p, M - j) columns.
 
     Memoized for the last (basis, partition size) key.  A basis hashes by
     (n_total, excitation_count), from which its patterns follow, so
     separately built bases of one sector share the maps.  The last sector's
     maps, d int64 values, stay alive after :func:`verify_closed_form`
     returns."""
-    patterns = basis.patterns
-    kept, traced = patterns & ((1 << partition_size) - 1), patterns >> partition_size
-    kept_sites = min(partition_size, basis.n_total - partition_size)
-    if partition_size > kept_sites:
-        kept, traced = traced, kept
+    traced_sites, count = basis.n_total - partition_size, basis.excitation_count
+    traced = basis.patterns >> partition_size
     # one site at a time: a (d, sites) bit table would take 8 d sites bytes
-    kept_count = np.zeros_like(kept)
-    for site in range(kept_sites):
-        kept_count += kept >> site & 1
+    traced_count = np.zeros_like(traced)
+    for site in range(traced_sites):
+        traced_count += traced >> site & 1
     blocks = []
-    # the occurring counts, by bincount: a bare np.unique imports numpy.ma
-    for k in np.flatnonzero(np.bincount(kept_count)):
-        members = np.flatnonzero(kept_count == k)
-        rows, row = np.unique(kept[members], return_inverse=True)
-        cols, col = np.unique(traced[members], return_inverse=True)
-        gather = np.empty_like(members)
-        gather[row * cols.size + col] = members
-        blocks.append((gather, (rows.size, cols.size)))
+    for j in range(max(0, count - partition_size), min(traced_sites, count) + 1):
+        shape = (math.comb(traced_sites, j), math.comb(partition_size, count - j))
+        blocks.append((np.flatnonzero(traced_count == j), shape))
     return tuple(blocks)
 
 
@@ -332,17 +336,18 @@ def schmidt_eigenvalues(state: SectorState, partition_size: int) -> np.ndarray:
     ``partition_size`` sites, computed on the smaller side of the cut.
 
     ``state`` holds one amplitude vector, shape (d,), or a stack, (T, d);
-    the result has shape (r,) or (T, r), with one eigenvalue per kept-side
-    pattern that occurs in the sector (kept patterns that never occur only
-    add zeros).  Excitation number is conserved, so rho is block diagonal in
-    the kept side's excitation count k: block k is C_k C_k^dagger, where C_k
-    holds the amplitudes whose kept half has k excitations, rows indexed by
-    the kept pattern and columns by the traced one.  The blocks' index maps
-    are memoized (:func:`_schmidt_blocks`); each block then takes one
-    gather, one batched product and one batched ``eigvalsh``.  For a pure
-    state both sides share the nonzero spectrum, so tracing to the smaller
-    subsystem is free accuracy and memory.  Raises ValueError for a
-    non-finite amplitude.
+    the result has shape (r,) or (T, r), with one eigenvalue per pattern of
+    the smaller side that occurs in the sector (patterns that never occur
+    only add zeros).  Excitation number is conserved, so rho is block
+    diagonal in the traced side's excitation count j.  Block j of the
+    amplitudes, C_j, is a slice of the basis order reshaped
+    (:func:`_schmidt_blocks`): rows indexed by the traced pattern, columns
+    by the kept one.  C_j C_j^dagger and C_j^dagger C_j share their nonzero
+    spectrum, so each block forms the Gram matrix on the smaller side of
+    the cut, which is free accuracy and memory: where the first p sites are
+    the smaller side (2 p <= N), C_j is transposed first, as a view.  Each
+    block then takes one gather, one batched product and one batched
+    ``eigvalsh``.  Raises ValueError for a non-finite amplitude.
     """
     basis = state.basis
     n_total = basis.n_total
@@ -359,8 +364,10 @@ def schmidt_eigenvalues(state: SectorState, partition_size: int) -> np.ndarray:
     if not np.isfinite(amplitudes).all():
         raise ValueError("sector state has a non-finite amplitude")
     spectra = []
-    for gather, shape in _schmidt_blocks(basis, partition_size):
-        block = amplitudes[..., gather].reshape(amplitudes.shape[:-1] + shape)
+    for members, shape in _schmidt_blocks(basis, partition_size):
+        block = amplitudes[..., members].reshape(amplitudes.shape[:-1] + shape)
+        if 2 * partition_size <= n_total:
+            block = block.swapaxes(-1, -2)
         spectra.append(np.linalg.eigvalsh(block @ block.conj().swapaxes(-1, -2)))
     return np.sort(np.concatenate(spectra, axis=-1), axis=-1)[..., ::-1]
 

@@ -442,6 +442,23 @@ class TestReducedDensity:
             oracle._schmidt_blocks(*key)
             assert oracle._schmidt_blocks.cache_info().misses == misses + 1, key
 
+    def test_blocks_are_row_major_slices_of_the_basis_order(self):
+        # rows: traced patterns (sites p..n-1), columns: kept ones (sites 0..p-1)
+        for n in range(11):
+            for m in range(n + 1):
+                patterns = sector_basis(n, m).patterns
+                for p in range(n + 1):
+                    blocks = oracle._schmidt_blocks(sector_basis(n, m), p)
+                    members = np.sort(np.concatenate([members for members, _ in blocks]))
+                    assert np.array_equal(members, np.arange(patterns.size)), (n, m, p)
+                    for members, shape in blocks:
+                        traced = (patterns[members] >> p).reshape(shape)
+                        kept = (patterns[members] & ((1 << p) - 1)).reshape(shape)
+                        assert (traced == traced[:, :1]).all(), (n, m, p)
+                        assert (np.diff(traced[:, 0]) > 0).all(), (n, m, p)
+                        assert (kept == kept[:1]).all(), (n, m, p)
+                        assert (np.diff(kept[0]) > 0).all(), (n, m, p)
+
     def test_partition_relabeling_invariance(self):
         # permuting the sites of the state and cutting along the permuted
         # partition must leave the spectrum unchanged
