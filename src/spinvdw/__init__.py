@@ -4,10 +4,10 @@ XY (spin van der Waals / Lipkin-Meshkov-Glick) systems.
 Two independent pipelines compute the same observables: a closed-form one
 (exact rational mixing coefficients, integer oscillation frequencies) and a
 brute-force one (sector Hamiltonians held as lowering tables, H = S+S- - M,
-propagated exactly in a Krylov subspace, and Schmidt spectra from the
-block-diagonal reduced density, one batched step per chunk of sample
-times).  The :mod:`spinvdw.oracle` module compares them; the CLI exposes
-both.
+the product start state propagated exactly in its Krylov subspace by one
+real Lanczos pass, and Schmidt spectra from the block-diagonal reduced
+density, one batched step per chunk of sample times).  The
+:mod:`spinvdw.oracle` module compares them; the CLI exposes both.
 """
 
 from .backend import KERNEL_BACKEND
@@ -41,7 +41,6 @@ from .oracle import (
     SectorState,
     VerificationReport,
     build_sector_hamiltonian,
-    initial_sector_state,
     krylov_evolution,
     propagate,
     schmidt_eigenvalues,
@@ -77,7 +76,6 @@ __all__ = [
     "entropy",
     "entropy_grid",
     "entropy_rate_m1",
-    "initial_sector_state",
     "krylov_evolution",
     "magic_number_scan",
     "max_entropy_at_t2",

@@ -11,15 +11,15 @@ state listing the (M-1)-sector states that emptying one of its M occupied
 sites gives: S- v scatters each entry of v onto its row, S+ gathers the
 rows back, one table column at a time, so H v takes O(d M) time and O(d)
 memory besides the table, where a dense d x d matrix would take O(d^2).
-:func:`krylov_evolution` runs real Lanczos on that product, once from the
-real and once from the imaginary part of the start state (a zero part is
-skipped), until the residual vanishes, so each cyclic subspace is invariant
-and exp(-i H tau) acts on it exactly through one small tridiagonal
-eigendecomposition.  The subspace is found from the Hamiltonian and the
-start vector alone: nothing sizes it from the model.  The caller holds the
-resulting :class:`KrylovEvolution`, and each :func:`propagate` call
-evaluates it at every time of a 1-d tau array at once, without a Lanczos
-step.
+:func:`krylov_evolution` runs real Lanczos on that product from the
+paper's start state, the product state with the first M sites excited,
+which is the real unit vector of the smallest pattern, until the residual
+vanishes, so its cyclic subspace is invariant and exp(-i H tau) acts on it
+exactly through one small tridiagonal eigendecomposition.  The subspace is
+found from the Hamiltonian and the start vector alone: nothing sizes it
+from the model.  The caller holds the resulting :class:`KrylovEvolution`,
+and each :func:`propagate` call evaluates it at every time of a 1-d tau
+array at once, without a Lanczos step.
 
 The reduced density of a sector state is block diagonal in the traced
 side's excitation count, because the Hamiltonian conserves excitation
@@ -153,13 +153,15 @@ class SectorState:
 
 @dataclass(frozen=True, eq=False)
 class KrylovEvolution:
-    """A start state's evolution under a sector Hamiltonian, ready to
-    evaluate at any time: ``parts`` holds (scale, Q, Theta, S) for each
-    nonzero part x of the start amplitudes, where scale is |x|, times i for
-    the imaginary part, and the rest is :func:`_krylov_spectrum` of x / |x|."""
+    """The product start state's evolution under a sector Hamiltonian,
+    ready to evaluate at any time: the Lanczos basis ``vectors`` (Q) and
+    the tridiagonal eigendecomposition ``theta``, ``rotation`` (Theta, S)
+    of :func:`_krylov_spectrum`."""
 
     basis: SectorBasis
-    parts: tuple
+    vectors: np.ndarray
+    theta: np.ndarray
+    rotation: np.ndarray
 
 
 def sector_basis(n_total: int, excitation_count: int) -> SectorBasis:
@@ -207,13 +209,6 @@ def build_sector_hamiltonian(n_total: int, excitations: int) -> SectorHamiltonia
     return SectorHamiltonian(basis, lowering)
 
 
-def initial_sector_state(basis: SectorBasis) -> SectorState:
-    """Product state with the first ``basis.excitation_count`` sites excited."""
-    amplitudes = np.zeros(basis.patterns.size, dtype=complex)
-    amplitudes[0] = 1.0  # (1 << count) - 1 is the smallest pattern
-    return SectorState(basis, amplitudes)
-
-
 def _krylov_spectrum(product, frobenius: float, start: np.ndarray) -> tuple:
     """Lanczos basis Q (one vector per row) of the cyclic subspace of the
     real unit vector ``start``, and the eigendecomposition T = S diag(Theta) S^T
@@ -254,49 +249,36 @@ def _krylov_spectrum(product, frobenius: float, start: np.ndarray) -> tuple:
     return subspace, theta, rotation
 
 
-def krylov_evolution(h: SectorHamiltonian, initial: SectorState) -> KrylovEvolution:
-    """Lanczos from the start state, for :func:`propagate` to evaluate.
+def krylov_evolution(h: SectorHamiltonian) -> KrylovEvolution:
+    """Lanczos from the product state with the first M sites excited, for
+    :func:`propagate` to evaluate.
 
-    H is real, so U(a + ib) = Ua + iUb: each nonzero part x of the start
-    state takes one real :func:`_krylov_spectrum` pass, and each Lanczos
-    step applies the lowering table twice.  The evolution keeps no reference
-    to the start amplitudes, so later edits of them do not reach it.
-    Raises ValueError when the state and the Hamiltonian use different bases
-    or the start state has a non-finite amplitude.
+    That state is the real unit vector e_0 of the basis, whose smallest
+    pattern is (1 << M) - 1, so one real :func:`_krylov_spectrum` pass
+    covers it, and each Lanczos step applies the lowering table twice.
     """
-    if h.basis != initial.basis:
-        raise ValueError("state and Hamiltonian use different bases")
-    amplitudes = np.asarray(initial.amplitudes, dtype=complex)
-    if not np.isfinite(amplitudes).all():
-        raise ValueError("start state has a non-finite amplitude")
-    parts = []
-    for unit, part in ((1.0, amplitudes.real), (1j, amplitudes.imag)):
-        norm = float(np.linalg.norm(part))
-        if norm != 0.0:
-            parts.append((unit * norm, *_krylov_spectrum(h.apply, h.frobenius, part / norm)))
-    return KrylovEvolution(h.basis, tuple(parts))
+    start = np.zeros(h.basis.patterns.size)
+    start[0] = 1.0
+    return KrylovEvolution(h.basis, *_krylov_spectrum(h.apply, h.frobenius, start))
 
 
 def propagate(evolution: KrylovEvolution, tau) -> SectorState:
     """exp(-i H tau) applied to the start state of ``evolution``.
 
     ``tau`` is a scalar or a 1-d array of times; the amplitudes have shape
-    ``tau.shape + (d,)``.  psi(tau) sums |x| (exp(-i tau Theta) * S[0, :])
-    S^T Q over the parts of :func:`krylov_evolution`, times i for the
-    imaginary one, and runs no Lanczos step.  Every time costs O(d k) for a
-    k-vector subspace: the complex weights meet the real Q in two real
-    products.  A zero start state evolves to the zero state.  Raises
-    ValueError for a non-finite tau.
+    ``tau.shape + (d,)``.  psi(tau) is (exp(-i tau Theta) * S[0, :]) S^T Q,
+    from :func:`krylov_evolution`, and runs no Lanczos step.  Every time
+    costs O(d k) for a k-vector subspace: the complex weights meet the real
+    Q in two real products.  Raises ValueError for a non-finite tau.
     """
     taus = np.asarray(tau, dtype=float)
     if not np.isfinite(taus).all():
         raise ValueError(f"tau must be finite, got {tau!r}")
+    phased = np.exp(-1j * np.multiply.outer(taus, evolution.theta)) * evolution.rotation[0]
+    weights = phased @ evolution.rotation.T
     evolved = np.zeros(taus.shape + evolution.basis.patterns.shape, dtype=complex)
-    for scale, vectors, theta, rotation in evolution.parts:
-        phased = np.exp(-1j * np.multiply.outer(taus, theta)) * rotation[0]
-        weights = scale * (phased @ rotation.T)
-        evolved.real += weights.real @ vectors
-        evolved.imag += weights.imag @ vectors
+    evolved.real += weights.real @ evolution.vectors
+    evolved.imag += weights.imag @ evolution.vectors
     return SectorState(evolution.basis, evolved)
 
 
@@ -420,17 +402,18 @@ def verify_closed_form(spec: ModelSpec, tau_samples) -> VerificationReport:
     Both closed-form paths are checked, each with all samples in one call:
     the complex reference path (:func:`amplitudes_at`, :func:`schmidt_spectrum`,
     :func:`entropy`) and the real, blocked kernel path (:func:`entropy_grid`).
-    The oracle builds the sector basis once, for the lowering table and the
-    start state, and never forms a d x d matrix.  It evolves, reduces and
-    scores the samples a chunk at a time, max(1, ``CHUNK_BYTES`` // (16 d))
-    samples per :func:`propagate`, :func:`schmidt_eigenvalues` and
-    :func:`von_neumann_entropy` call, so its evolved amplitudes stay within
-    that budget whatever the sample count.  Lanczos runs once per sector, in
-    :func:`krylov_evolution` before the first chunk, and the Schmidt index
-    maps are built in the first :func:`schmidt_eigenvalues` call only.  Both
-    closed forms are stacked and compared with each chunk at once, in
-    descending order: the oracle's first M'+1 eigenvalues with their M'+1
-    probabilities, and the rest of its 2^M' with zero.  Raises ValueError unless the samples are
+    The oracle builds the sector basis once, for the lowering table, and
+    never forms a d x d matrix.  It evolves the product state with the first
+    M sites excited, and reduces and scores the samples a chunk at a time,
+    max(1, ``CHUNK_BYTES`` // (16 d)) samples per :func:`propagate`,
+    :func:`schmidt_eigenvalues` and :func:`von_neumann_entropy` call, so its
+    evolved amplitudes stay within that budget whatever the sample count.
+    One real Lanczos pass runs per sector, in :func:`krylov_evolution`
+    before the first chunk, and the Schmidt index maps are built in the
+    first :func:`schmidt_eigenvalues` call only.  Both closed forms are
+    stacked and compared with each chunk at once, in descending order: the
+    oracle's first M'+1 eigenvalues with their M'+1 probabilities, and the
+    rest of its 2^M' with zero.  Raises ValueError unless the samples are
     finite and non-empty; a NaN deviation fails the report.
     """
     from .entanglement import entropy, entropy_grid, exact_table, schmidt_spectrum
@@ -448,7 +431,7 @@ def verify_closed_form(spec: ModelSpec, tau_samples) -> VerificationReport:
     closed_spectra = closed_spectra[..., ::-1]
     closed_entropies = np.stack([entropy(reference), kernel_entropies])
     hamiltonian = build_sector_hamiltonian(spec.n_total, spec.m_excited)
-    evolution = krylov_evolution(hamiltonian, initial_sector_state(hamiltonian.basis))
+    evolution = krylov_evolution(hamiltonian)
     step = max(1, CHUNK_BYTES // (16 * hamiltonian.basis.patterns.size))
     width = spec.m_prime + 1
     # np.max propagates NaN, where the builtin max would drop it

@@ -19,7 +19,6 @@ import numpy as np
 from spinvdw.oracle import (
     BudgetExceededError,
     build_sector_hamiltonian,
-    initial_sector_state,
     krylov_evolution,
     propagate,
     sector_basis,
@@ -111,7 +110,7 @@ def full_space_crosscheck(n_total: int, m_excited: int, tau) -> float:
     """
     full = full_space_propagate(n_total, m_excited, tau)
     hamiltonian = build_sector_hamiltonian(n_total, m_excited)
-    evolution = krylov_evolution(hamiltonian, initial_sector_state(hamiltonian.basis))
+    evolution = krylov_evolution(hamiltonian)
     sector = propagate(evolution, tau)
     embedded = np.zeros_like(full)
     embedded[..., sector.basis.patterns] = sector.amplitudes

@@ -19,7 +19,6 @@ from spinvdw.oracle import (
     SectorHamiltonian,
     SectorState,
     build_sector_hamiltonian,
-    initial_sector_state,
     krylov_evolution,
     propagate,
     schmidt_eigenvalues,
@@ -164,19 +163,19 @@ def _assert_product_matches_hop_table(n: int, m: int) -> None:
 class TestPropagate:
     def test_two_site_rabi_quarter(self):
         h = build_sector_hamiltonian(2, 1)
-        state = propagate(krylov_evolution(h, initial_sector_state(h.basis)), math.pi / 4)
+        state = propagate(krylov_evolution(h), math.pi / 4)
         expected = np.array([math.cos(math.pi / 4), -1j * math.sin(math.pi / 4)])
         assert np.max(np.abs(state.amplitudes - expected)) < 1e-14
 
     def test_zero_time_is_identity(self):
         h = build_sector_hamiltonian(5, 2)
-        psi0 = initial_sector_state(sector_basis(5, 2))
-        state = propagate(krylov_evolution(h, psi0), 0.0)
+        psi0 = _product_state(5, 2)
+        state = propagate(krylov_evolution(h), 0.0)
         assert np.max(np.abs(state.amplitudes - psi0.amplitudes)) < 1e-14
 
     def test_two_site_complete_transfer(self):
         h = build_sector_hamiltonian(2, 1)
-        state = propagate(krylov_evolution(h, initial_sector_state(h.basis)), math.pi / 2)
+        state = propagate(krylov_evolution(h), math.pi / 2)
         assert abs(state.amplitudes[0]) < 1e-14
         assert abs(abs(state.amplitudes[1]) - 1.0) < 1e-14
 
@@ -185,27 +184,29 @@ class TestPropagate:
         for n in range(2, 11):
             m = int(rng.integers(0, n + 1))
             h = build_sector_hamiltonian(n, m)
-            evolution = krylov_evolution(h, initial_sector_state(h.basis))
+            evolution = krylov_evolution(h)
             for tau in rng.uniform(0.0, 4.0 * math.pi, 12):
                 state = propagate(evolution, tau)
                 assert abs(np.linalg.norm(state.amplitudes) - 1.0) < 1e-12
-
-    def test_basis_mismatch(self):
-        h, psi = build_sector_hamiltonian(3, 1), initial_sector_state(sector_basis(3, 2))
-        with pytest.raises(ValueError, match="different bases"):
-            krylov_evolution(h, psi)
 
     @pytest.mark.parametrize(
         "n,m,tau", [(2, 1, 0.4), (6, 3, 1.234), (9, 2, 5.0), (10, 7, 2.5)]
     )
     def test_complex_state_matches_spectral_reference(self, n, m, tau):
-        # a complex start state: a product that drops the imaginary part fails
+        # the evolved product state is complex: a product that drops its
+        # imaginary part fails
         h = build_sector_hamiltonian(n, m)
-        psi = _random_sector_state(n, m, seed=n + m)
-        evolved = propagate(krylov_evolution(h, psi), tau).amplitudes
-        eigenvalues, vectors = h.eigensystem()
-        reference = vectors @ (np.exp(-1j * eigenvalues * tau) * (vectors.T @ psi.amplitudes))
+        evolved = propagate(krylov_evolution(h), tau).amplitudes
+        reference = _spectral_reference(h, _product_state(n, m).amplitudes, tau)
         assert np.max(np.abs(evolved - reference)) < 1e-12
+        assert abs(np.linalg.norm(evolved) - 1.0) < 1e-12
+        # a random real start through Lanczos and propagate's formula, so the
+        # accuracy from a generic start stays covered in a sector
+        start = _random_sector_state(n, m, seed=n + m).amplitudes.real
+        start /= np.linalg.norm(start)
+        vectors, theta, rotation = oracle._krylov_spectrum(h.apply, h.frobenius, start)
+        evolved = (np.exp(-1j * tau * theta) * rotation[0]) @ rotation.T @ vectors
+        assert np.max(np.abs(evolved - _spectral_reference(h, start, tau))) < 1e-12
         assert abs(np.linalg.norm(evolved) - 1.0) < 1e-12
 
 
@@ -237,29 +238,22 @@ class TestKrylovPropagate:
             assert np.max(np.abs(evolved - reference)) < 1e-12
             assert abs(np.linalg.norm(evolved) - 1.0) < 1e-12
 
-    def test_evolution_keeps_the_start_state_it_was_built_from(self):
-        # two evolutions of one Hamiltonian, evaluated in turn
-        h = build_sector_hamiltonian(8, 3)
-        states = [_random_sector_state(8, 3, seed=seed) for seed in (1, 2)]
-        originals = [psi.amplitudes.copy() for psi in states]
-        evolutions = [krylov_evolution(h, psi) for psi in states]
-        # the start states, changed in place after the build: same objects, same norms
-        for psi in states:
-            psi.amplitudes[:] = np.roll(psi.amplitudes, 7)
-        for k, tau in ((0, 0.8), (1, 0.8), (1, 0.1), (0, 1.9)):
-            evolved = propagate(evolutions[k], tau).amplitudes
-            assert np.max(np.abs(evolved - _spectral_reference(h, originals[k], tau))) < 1e-12
-
-    @pytest.mark.parametrize("n,m,dimension", [(13, 6, 7), (14, 7, 8), (9, 0, 1)])
+    @pytest.mark.parametrize(
+        "n,m,dimension",
+        [(13, 6, 7), (14, 7, 8)]
+        + [(n, m, min(m, n - m) + 1) for n in range(13) for m in range(n + 1)],
+    )
     def test_product_state_subspace_dimension(self, n, m, dimension):
         # the hop matrix has min(m, n - m) + 1 distinct eigenvalues in the
-        # sector, so the product state's cyclic subspace closes that early
+        # sector, so the product state's cyclic subspace closes that early;
+        # the Lanczos basis that SECTOR_SITE_BUDGET sizes holds that many rows
         h = build_sector_hamiltonian(n, m)
-        vectors, theta, rotation = oracle._krylov_spectrum(
-            h.apply, h.frobenius, initial_sector_state(sector_basis(n, m)).amplitudes.real,
-        )
-        assert vectors.shape[0] == theta.size == dimension
-        assert vectors.dtype == np.float64
+        assert h.basis.patterns[0] == (1 << m) - 1
+        evolution = krylov_evolution(h)
+        assert evolution.vectors.shape[0] == evolution.theta.size == dimension
+        assert evolution.vectors.dtype == np.float64
+        start = propagate(evolution, 0.0).amplitudes
+        assert np.max(np.abs(start - _product_state(n, m).amplitudes)) < 1e-15
 
     @pytest.mark.parametrize("n,m", [(8, 4), (10, 5)])
     def test_steeply_falling_start_keeps_the_basis_orthonormal(self, n, m):
@@ -288,70 +282,39 @@ class TestKrylovPropagate:
     def test_non_finite_tau_rejected(self, tau):
         h = build_sector_hamiltonian(4, 2)
         with pytest.raises(ValueError, match="tau"):
-            propagate(krylov_evolution(h, initial_sector_state(h.basis)), tau)
-
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, math.nan)])
-    def test_non_finite_start_rejected(self, bad):
-        psi = initial_sector_state(sector_basis(5, 2))
-        psi.amplitudes[3] = bad
-        with pytest.raises(ValueError, match="non-finite"):
-            krylov_evolution(build_sector_hamiltonian(5, 2), psi)
-
-    def test_zero_start_stays_zero(self):
-        basis = sector_basis(5, 2)
-        zero = SectorState(basis, np.zeros(basis.patterns.size, dtype=complex))
-        evolved = propagate(krylov_evolution(build_sector_hamiltonian(5, 2), zero), 1.3).amplitudes
-        assert evolved.shape == (basis.patterns.size,)
-        assert not evolved.any()
+            propagate(krylov_evolution(h), tau)
 
     def test_tau_array_gives_one_row_per_time(self, monkeypatch):
         h = build_sector_hamiltonian(9, 4)
-        psi = _random_sector_state(9, 4, seed=31)
+        psi = _product_state(9, 4)
         calls = []
         krylov = oracle._krylov_spectrum
         monkeypatch.setattr(oracle, "_krylov_spectrum", lambda *a: calls.append(a) or krylov(*a))
         taus = np.array([0.0, 0.37, 2.9, 11.5, -4.2])
-        # a real-only or imaginary-only start skips one of the two real passes
-        for amplitudes, passes in (
-            (psi.amplitudes, 2),
-            (psi.amplitudes.real + 0j, 1),
-            (1j * psi.amplitudes.imag, 1),
-        ):
-            calls.clear()
-            start = SectorState(psi.basis, amplitudes)
-            evolved = propagate(krylov_evolution(h, start), taus).amplitudes
-            assert len(calls) == passes
-            assert evolved.shape == (taus.size, psi.basis.patterns.size)
-            for tau, row in zip(taus, evolved):
-                assert np.max(np.abs(row - _spectral_reference(h, amplitudes, tau))) < 1e-12
+        evolved = propagate(krylov_evolution(h), taus).amplitudes
+        assert len(calls) == 1  # one real pass from the real product state
+        assert evolved.shape == (taus.size, psi.basis.patterns.size)
+        for tau, row in zip(taus, evolved):
+            assert np.max(np.abs(row - _spectral_reference(h, psi.amplitudes, tau))) < 1e-12
 
     def test_slices_of_one_time_array_run_lanczos_once(self, monkeypatch):
         h = build_sector_hamiltonian(9, 4)
-        psi = _random_sector_state(9, 4, seed=7)
         taus = np.linspace(-3.0, 9.0, 11)
         calls = []
         krylov = oracle._krylov_spectrum
         monkeypatch.setattr(oracle, "_krylov_spectrum", lambda *a: calls.append(a) or krylov(*a))
-        evolution = krylov_evolution(h, psi)
-        assert len(calls) == 2  # the real and the imaginary part, once each
+        evolution = krylov_evolution(h)
+        assert len(calls) == 1
         whole = propagate(evolution, taus).amplitudes
         rows = [propagate(evolution, taus[i : i + 4]).amplitudes for i in range(0, 11, 4)]
-        assert len(calls) == 2  # propagate runs no Lanczos step
+        assert len(calls) == 1  # propagate runs no Lanczos step
         assert np.max(np.abs(np.concatenate(rows) - whole)) < 1e-14
-
-    def test_zero_start_with_tau_array_stays_zero(self):
-        basis = sector_basis(5, 2)
-        zero = SectorState(basis, np.zeros(basis.patterns.size, dtype=complex))
-        evolution = krylov_evolution(build_sector_hamiltonian(5, 2), zero)
-        evolved = propagate(evolution, np.linspace(0.0, 2.0, 7))
-        assert evolved.amplitudes.shape == (7, basis.patterns.size)
-        assert not evolved.amplitudes.any()
 
     def test_tau_array_with_nan_rejected(self):
         taus = np.array([0.1, 0.5, math.nan, 2.0])
         h = build_sector_hamiltonian(4, 2)
         with pytest.raises(ValueError, match="tau"):
-            propagate(krylov_evolution(h, initial_sector_state(h.basis)), taus)
+            propagate(krylov_evolution(h), taus)
 
 
 class TestReducedDensity:
@@ -359,18 +322,18 @@ class TestReducedDensity:
 
     def test_bell_like_state(self):
         h = build_sector_hamiltonian(2, 1)
-        state = propagate(krylov_evolution(h, initial_sector_state(h.basis)), math.pi / 4)
+        state = propagate(krylov_evolution(h), math.pi / 4)
         eigenvalues = schmidt_eigenvalues(state, 1)
         assert np.max(np.abs(eigenvalues - 0.5)) < 1e-14
 
     def test_product_state(self):
-        eigenvalues = schmidt_eigenvalues(initial_sector_state(sector_basis(4, 2)), 2)
+        eigenvalues = schmidt_eigenvalues(_product_state(4, 2), 2)
         assert abs(eigenvalues[0] - 1.0) < 1e-14
         assert np.max(np.abs(eigenvalues[1:])) < 1e-14
 
     def test_seven_site_rationals(self):
         h = build_sector_hamiltonian(7, 1)
-        state = propagate(krylov_evolution(h, initial_sector_state(h.basis)), math.pi / 7)
+        state = propagate(krylov_evolution(h), math.pi / 7)
         eigenvalues = schmidt_eigenvalues(state, 1)
         assert abs(eigenvalues[0] - 25.0 / 49.0) < 1e-9
         assert abs(eigenvalues[1] - 24.0 / 49.0) < 1e-9
@@ -378,7 +341,7 @@ class TestReducedDensity:
     def test_hermitian_unit_trace_psd(self):
         # eigvalsh of each Hermitian block: real, summing to the unit trace
         h = build_sector_hamiltonian(6, 3)
-        state = propagate(krylov_evolution(h, initial_sector_state(h.basis)), 1.234)
+        state = propagate(krylov_evolution(h), 1.234)
         eigenvalues = schmidt_eigenvalues(state, 3)
         assert eigenvalues.shape == (8,)
         assert abs(eigenvalues.sum() - 1.0) < 1e-10
@@ -389,7 +352,7 @@ class TestReducedDensity:
         rng = np.random.default_rng(4)
         for n, m in ((6, 2), (8, 3), (10, 5)):
             h = build_sector_hamiltonian(n, m)
-            evolution = krylov_evolution(h, initial_sector_state(h.basis))
+            evolution = krylov_evolution(h)
             state = propagate(evolution, float(rng.uniform(0, 2 * math.pi)))
             eig = schmidt_eigenvalues(state, m)
             assert int((eig > 1e-12).sum()) <= min(m, n - m) + 1
@@ -422,11 +385,11 @@ class TestReducedDensity:
     @pytest.mark.parametrize("size", [-1, 7, 9])
     def test_schmidt_partition_out_of_range(self, size):
         with pytest.raises(ValueError, match=r"0\.\.6"):
-            schmidt_eigenvalues(initial_sector_state(sector_basis(6, 3)), size)
+            schmidt_eigenvalues(_product_state(6, 3), size)
 
     @pytest.mark.parametrize("size", [0, 6])
     def test_schmidt_trivial_partition(self, size):
-        assert np.array_equal(schmidt_eigenvalues(initial_sector_state(sector_basis(6, 3)), size), [1.0])
+        assert np.array_equal(schmidt_eigenvalues(_product_state(6, 3), size), [1.0])
 
     def test_block_maps_built_once_per_partition(self):
         basis = sector_basis(8, 3)
@@ -464,7 +427,7 @@ class TestReducedDensity:
         # partition must leave the spectrum unchanged
         n, m, tau = 5, 2, 0.7
         h = build_sector_hamiltonian(n, m)
-        state = propagate(krylov_evolution(h, initial_sector_state(h.basis)), tau)
+        state = propagate(krylov_evolution(h), tau)
         reference = np.sort(schmidt_eigenvalues(state, m))
 
         permutation = [2, 4, 1, 0, 3]  # image of each site
@@ -523,6 +486,15 @@ class TestReducedDensity:
         for row, eigenvalues in zip(rows, stacked):
             single = schmidt_eigenvalues(SectorState(basis, row), size)
             assert np.max(np.abs(single - eigenvalues)) < 1e-14
+
+
+def _product_state(n_sites: int, excitations: int) -> SectorState:
+    """The start state with the first ``excitations`` sites excited: the
+    smallest pattern, (1 << excitations) - 1, is basis state 0."""
+    basis = sector_basis(n_sites, excitations)
+    amplitudes = np.zeros(basis.patterns.size, dtype=complex)
+    amplitudes[0] = 1.0
+    return SectorState(basis, amplitudes)
 
 
 def _random_sector_state(n_sites: int, excitations: int, seed: int) -> SectorState:
@@ -714,7 +686,7 @@ class TestVerifyClosedForm:
         rng = np.random.default_rng(9)
         for n in (3, 6, 9):
             h = build_sector_hamiltonian(n, 1)
-            evolution = krylov_evolution(h, initial_sector_state(h.basis))
+            evolution = krylov_evolution(h)
             for tau in rng.uniform(0.0, 2.0 * math.pi, 10):
                 state = propagate(evolution, tau)
                 oracle = von_neumann_entropy(schmidt_eigenvalues(state, 1))
