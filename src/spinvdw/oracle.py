@@ -55,12 +55,13 @@ import numpy as np
 from .model import ModelSpec
 
 # Sector budget: C(24, 12) = 2704156 sector states.  The worst sector,
-# (24,12), verifies 8 samples in 22 s at 574 MiB peak RSS, 64 samples in
-# 93 s at 574 MiB (one fresh process, 2-vCPU Xeon, numpy 2.4.6, one BLAS
-# thread).  Lanczos sets that peak: the 130 MB table, a 16-row basis of
-# 346 MB and the product's few d-length vectors of 22 MB each; the first
-# chunk's Schmidt maps and reduction stay below it.  (26,13) would need
-# about 2.5 GB.
+# (24,12), verifies 8 samples in 22 s and 64 samples in 93 s, at up to
+# 574 MiB peak RSS (one fresh process, 2-vCPU Xeon, numpy 2.4.6, one BLAS
+# thread).  Lanczos sets that peak: the 130 MB table, the M'+1 = 13 rows
+# it writes of its 16-row basis (281 MB resident of the 346 MB allocated,
+# as rows never written take no pages) and the product's few d-length
+# vectors of 22 MB each; the first chunk's Schmidt maps and reduction stay
+# below it.  (26,13) would need about 2.5 GB.
 SECTOR_SITE_BUDGET = 24
 # Lanczos stops once its residual falls below this fraction of the
 # Hamiltonian's Frobenius norm, a bound on the spectral radius.
