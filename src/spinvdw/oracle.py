@@ -55,13 +55,14 @@ import numpy as np
 from .model import ModelSpec
 
 # Sector budget: C(24, 12) = 2704156 sector states.  The worst sector,
-# (24,12), verifies 8 samples in 22 s and 64 samples in 93 s, at up to
-# 574 MiB peak RSS (one fresh process, 2-vCPU Xeon, numpy 2.4.6, one BLAS
-# thread).  Lanczos sets that peak: the 130 MB table, the M'+1 = 13 rows
-# it writes of its 16-row basis (281 MB resident of the 346 MB allocated,
-# as rows never written take no pages) and the product's few d-length
-# vectors of 22 MB each; the first chunk's Schmidt maps and reduction stay
-# below it.  (26,13) would need about 2.5 GB.
+# (24,12), verifies 8 samples in 22 s and 64 samples in 93 s, at 555-574 MiB
+# peak RSS by the process's allocation history (one fresh process, 2-vCPU
+# Xeon, numpy 2.4.6, one BLAS thread).  Lanczos sets nearly all of it, 548 MiB
+# in a 555 MiB run: the 130 MB table, the M'+1 = 13 rows it writes of its
+# 16-row basis (281 MB resident of the 346 MB allocated, as rows never
+# written take no pages) and the product's few d-length vectors of 22 MB
+# each; the first chunk's Schmidt maps and reduction add up to 7 MiB.
+# (26,13) would need about 2.5 GB.
 SECTOR_SITE_BUDGET = 24
 # Lanczos stops once its residual falls below this fraction of the
 # Hamiltonian's Frobenius norm, a bound on the spectral radius.
@@ -70,8 +71,8 @@ KRYLOV_BREAKDOWN = 1e-13
 # samples at a time, so the evolved complex amplitudes it holds take at most
 # this many bytes whatever the sample count (one sample's d amplitudes, where
 # they take more).  Measured at 256 KiB, 512 KiB and 1 MiB: `verify --n-max 13`
-# peaked at 39.1, 39.8 and 40.8 MiB RSS, in 0.11 s each, and (18,9) took
-# 0.44-0.48 s at 50.9-52.0 MiB, so the smallest budget costs no time.
+# peaked at 33.0, 33.8 and 35.0 MiB RSS, in 0.11 s each, and (18,9) took
+# 0.67-0.83 s at 42.7 MiB at each, so the smallest budget costs no time.
 CHUNK_BYTES = 1 << 18
 
 

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from spinvdw.cli import main
+from spinvdw.cli import main, verify_times
 from spinvdw.combinatorics import b_table, schmidt_multiplicities
 from spinvdw.entanglement import (
     critical_times_m1,
@@ -93,9 +93,7 @@ def test_criterion_4_oracle_equivalence():
     ok = True
     for n in range(2, 11):
         for m in range(0, n // 2 + 1):
-            rng = np.random.default_rng(1_000 * n + m)
-            taus = rng.uniform(0.0, 4.0 * math.pi, 64)
-            rep = verify_closed_form(ModelSpec(n, m), taus)
+            rep = verify_closed_form(ModelSpec(n, m), verify_times(n, m))
             ok &= rep.passed and rep.tolerance == 1e-9
             worst_p = max(worst_p, rep.max_spectrum_deviation)
             worst_e = max(worst_e, rep.max_entropy_deviation)
@@ -266,8 +264,7 @@ def test_criterion_10_oracle_reach():
     worst_p = worst_e = 0.0
     ok = True
     for n, m in ((16, 8), (18, 9)):
-        taus = np.random.default_rng(1_000 * n + m).uniform(0.0, 4.0 * math.pi, 64)
-        rep = verify_closed_form(ModelSpec(n, m), taus)
+        rep = verify_closed_form(ModelSpec(n, m), verify_times(n, m))
         ok &= rep.passed and rep.tolerance == 1e-9
         worst_p = max(worst_p, rep.max_spectrum_deviation)
         worst_e = max(worst_e, rep.max_entropy_deviation)
@@ -288,8 +285,7 @@ def test_criterion_11_oracle_reach_of_the_lowering_table():
     worst_p = worst_e = 0.0
     ok = True
     for n, m, samples in ((20, 10, 64), (22, 11, 8)):
-        taus = np.random.default_rng(1_000 * n + m).uniform(0.0, 4.0 * math.pi, samples)
-        rep = verify_closed_form(ModelSpec(n, m), taus)
+        rep = verify_closed_form(ModelSpec(n, m), verify_times(n, m)[:samples])
         ok &= rep.passed and rep.tolerance == 1e-9
         worst_p = max(worst_p, rep.max_spectrum_deviation)
         worst_e = max(worst_e, rep.max_entropy_deviation)

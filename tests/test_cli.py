@@ -320,6 +320,16 @@ class TestVerify:
         captured = capsys.readouterr().out
         assert "N=10 M= 5" in captured
 
+    def test_sample_stream_is_pinned(self):
+        # another stream would silently move every deviation verify prints
+        for (n, m), first, last in (
+            ((2, 0), "5.6354770916740105", "7.130784172855389"),
+            ((13, 6), "4.037845985122278", "1.2882972295868558"),
+        ):
+            taus = cli.verify_times(n, m)
+            assert len(taus) == cli.VERIFY_SAMPLES
+            assert (repr(float(taus[0])), repr(float(taus[-1]))) == (first, last)
+
 
 @pytest.fixture(scope="module")
 def fig_dir(tmp_path_factory):
@@ -481,23 +491,37 @@ class TestModuleEntryPoint:
         assert "usage:" in proc.stderr
 
     @staticmethod
-    def loaded_by_import(modules, cwd):
-        """Those of ``modules`` that a fresh ``import spinvdw.cli`` loads."""
+    def loaded_by_import(modules, cwd, argv=None):
+        """Those of ``modules`` that a fresh ``import spinvdw.cli`` loads, or,
+        where ``argv`` is given, that it and a successful ``main(argv)`` load."""
         env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        run = "0" if argv is None else f"spinvdw.cli.main({argv!r})"
         proc = subprocess.run(
             [sys.executable, "-c",
-             f"import sys, spinvdw.cli; print([m for m in {modules!r} if m in sys.modules])"],
+             f"import sys, spinvdw.cli; code = {run}; "
+             f"print([m for m in {modules!r} if m in sys.modules]); sys.exit(code)"],
             capture_output=True, text=True, env=env, cwd=cwd,
         )
         assert proc.returncode == 0, proc.stderr
-        return proc.stdout
+        return proc.stdout.splitlines()[-1]
 
     def test_start_up_skips_the_url_stack(self, tmp_path):
         # urllib.request alone costs tens of milliseconds on every command
-        assert self.loaded_by_import(["urllib.request"], tmp_path) == "[]\n"
+        assert self.loaded_by_import(["urllib.request"], tmp_path) == "[]"
 
     def test_start_up_skips_the_process_pool(self, tmp_path):
         # only a long table's formatting needs them; they cost every command
         # about 25 ms of start-up
         modules = ["multiprocessing", "concurrent.futures"]
-        assert self.loaded_by_import(modules, tmp_path) == "[]\n"
+        assert self.loaded_by_import(modules, tmp_path) == "[]"
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--n-max", "4"],
+        ["maxima", "--n-max", "8", "--out", "maxima.csv"],
+        ["evolve", "--n", "5", "--m", "2", "--steps", "64", "--out", "evolve.csv", "--svg"],
+        ["figures", "--out-dir", "figs", "--svg"],
+    ], ids=lambda argv: argv[0])
+    def test_commands_skip_numpy_random(self, argv, tmp_path):
+        # numpy.random adds about 5.5 MiB to a process; verify draws its
+        # times from the stdlib generator instead
+        assert self.loaded_by_import(["numpy.random"], tmp_path, argv) == "[]"
