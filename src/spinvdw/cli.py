@@ -361,7 +361,8 @@ _COMMANDS = {
     "evolve": (cmd_evolve, "Schmidt spectrum and entropy along a time grid", (
         ("--n", int, 4, "total number of sites"),
         ("--m", int, 1, "initially excited sites"),
-        ("--tau-max", float, None, "end of the tau grid (default one period 2*pi/N)"),
+        ("--tau-max", float, None,
+         "end of the tau grid (default 2*pi/N, a period only when min(M, N-M) = 1)"),
         ("--steps", int, 512, "number of grid points, endpoints included"),
         ("--out", Path, None, "output CSV path"),
         ("--svg", bool, False, "also write an SVG plot next to the CSV"),

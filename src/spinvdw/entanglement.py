@@ -140,13 +140,13 @@ def entropy_rate_m1(spec: ModelSpec, tau: float) -> float:
     Evaluates ``2 (N-1)/N sin(N tau) log2[N^2/(4(N-1)) csc^2(N tau / 2) - 1]``.
     Raises :class:`SingularTimeError` at multiples of 2 pi / N, where the
     entropy has a cusp and the cosecant diverges, and ValueError for a
-    non-finite tau.
+    non-finite tau or N * tau.
     """
     _require_single_excitation(spec, "the closed-form entropy rate")
     tau = float(tau)
-    if not math.isfinite(tau):
-        raise ValueError(f"tau must be finite, got {tau!r}")
     n = spec.n_total
+    if not math.isfinite(n * tau):
+        raise ValueError(f"tau must be finite, and N * tau too, got {tau!r} at N = {n}")
     cycles = tau * n / (2.0 * math.pi)
     if abs(cycles - round(cycles)) < 1e-9:
         raise SingularTimeError(f"tau = {tau!r} is a multiple of 2*pi/{n}")

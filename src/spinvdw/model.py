@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 import operator
 from dataclasses import dataclass
 
@@ -13,14 +12,14 @@ class ModelSpec:
     of them initially excited.
 
     The initially excited sites form subsystem A, the remaining
-    ``n_total - m_excited`` sites subsystem B.  ``coupling`` is the exchange
-    strength in inverse time units; every time argument in this package is
-    the dimensionless ``tau = coupling * t``.
+    ``n_total - m_excited`` sites subsystem B.  The exchange strength J is
+    the unit of time, not a parameter: every time argument in this package
+    is the dimensionless ``tau = J * t``.
     """
 
     n_total: int
     m_excited: int
-    coupling: float = 1.0
+    coupling = 1.0  # no annotation: the unit J, a class constant, not a field
 
     def __post_init__(self) -> None:
         # operator.index takes numpy integers and rejects floats such as 6.0;
@@ -33,8 +32,6 @@ class ModelSpec:
             raise ValueError(
                 f"m_excited must lie in 0..{self.n_total}, got {self.m_excited}"
             )
-        if not (math.isfinite(self.coupling) and self.coupling > 0):
-            raise ValueError(f"coupling must be positive and finite, got {self.coupling}")
 
     @property
     def m_prime(self) -> int:

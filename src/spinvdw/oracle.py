@@ -55,7 +55,7 @@ import numpy as np
 from .model import ModelSpec
 
 # Sector budget: C(24, 12) = 2704156 sector states.  The worst sector,
-# (24,12), verifies 8 samples in 22 s and 64 samples in 93 s, at 555-574 MiB
+# (24,12), verifies 8 samples in 26-28 s and 64 samples in 104 s, at 555-574 MiB
 # peak RSS by the process's allocation history (one fresh process, 2-vCPU
 # Xeon, numpy 2.4.6, one BLAS thread).  Lanczos sets nearly all of it, 548 MiB
 # in a 555 MiB run: the 130 MB table, the M'+1 = 13 rows it writes of its

@@ -82,46 +82,28 @@ def line_plot(series, *, title="", x_label="", y_label="") -> str:
         f'<rect x="0" y="0" width="{_WIDTH}" height="{_HEIGHT}" fill="#ffffff"/>',
     ]
     if title:
-        parts.append(
-            f'<text x="{_WIDTH / 2:.1f}" y="20" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="14">{title.translate(_ENTITIES)}</text>'
-        )
+        parts.append(_text(f"{_WIDTH / 2:.1f}", 20, title, 14, "middle"))
 
     # axes
     x0, y0 = _MARGIN_LEFT, _MARGIN_TOP + plot_h
-    parts.append(
-        f'<line x1="{x0}" y1="{y0}" x2="{x0 + plot_w}" y2="{y0}" stroke="#000000"/>'
-    )
-    parts.append(
-        f'<line x1="{x0}" y1="{_MARGIN_TOP}" x2="{x0}" y2="{y0}" stroke="#000000"/>'
-    )
+    parts.append(_line(x0, y0, x0 + plot_w, y0))
+    parts.append(_line(x0, _MARGIN_TOP, x0, y0))
     for i in range(_TICKS):
         frac = i / (_TICKS - 1)
         xv = x_lo + frac * (x_hi - x_lo)
         yv = y_lo + frac * (y_hi - y_lo)
         tx, _ = to_px(xv, y_lo)
         _, ty = to_px(x_lo, yv)
-        parts.append(f'<line x1="{tx:.1f}" y1="{y0}" x2="{tx:.1f}" y2="{y0 + 5}" stroke="#000000"/>')
-        parts.append(
-            f'<text x="{tx:.1f}" y="{y0 + 18}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="11">{xv:.4g}</text>'
-        )
-        parts.append(f'<line x1="{x0 - 5}" y1="{ty:.1f}" x2="{x0}" y2="{ty:.1f}" stroke="#000000"/>')
-        parts.append(
-            f'<text x="{x0 - 8}" y="{ty + 4:.1f}" text-anchor="end" '
-            f'font-family="sans-serif" font-size="11">{yv:.4g}</text>'
-        )
+        parts.append(_line(f"{tx:.1f}", y0, f"{tx:.1f}", y0 + 5))
+        parts.append(_text(f"{tx:.1f}", y0 + 18, f"{xv:.4g}", 11, "middle"))
+        parts.append(_line(x0 - 5, f"{ty:.1f}", x0, f"{ty:.1f}"))
+        parts.append(_text(x0 - 8, f"{ty + 4:.1f}", f"{yv:.4g}", 11, "end"))
     if x_label:
-        parts.append(
-            f'<text x="{x0 + plot_w / 2:.1f}" y="{_HEIGHT - 8}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="12">{x_label.translate(_ENTITIES)}</text>'
-        )
+        parts.append(_text(f"{x0 + plot_w / 2:.1f}", _HEIGHT - 8, x_label, 12, "middle"))
     if y_label:
         cy = _MARGIN_TOP + plot_h / 2
-        parts.append(
-            f'<text x="16" y="{cy:.1f}" text-anchor="middle" font-family="sans-serif" '
-            f'font-size="12" transform="rotate(-90 16 {cy:.1f})">{y_label.translate(_ENTITIES)}</text>'
-        )
+        rotate = f' transform="rotate(-90 16 {cy:.1f})"'
+        parts.append(_text(16, f"{cy:.1f}", y_label, 12, "middle", rotate))
 
     # one polyline per series, legend entries on the right
     for i, (label, xs, ys) in enumerate(series):
@@ -134,13 +116,26 @@ def line_plot(series, *, title="", x_label="", y_label="") -> str:
         parts.append(f'<polyline fill="none" stroke="{color}" stroke-width="1.2" points="{points}"/>')
         ly = _MARGIN_TOP + 14 + 16 * i
         lx = _MARGIN_LEFT + plot_w + 12
-        parts.append(f'<line x1="{lx}" y1="{ly - 4}" x2="{lx + 18}" y2="{ly - 4}" stroke="{color}" stroke-width="2"/>')
-        parts.append(
-            f'<text x="{lx + 24}" y="{ly}" font-family="sans-serif" font-size="11">{label.translate(_ENTITIES)}</text>'
-        )
+        parts.append(_line(lx, ly - 4, lx + 18, ly - 4, color, ' stroke-width="2"'))
+        parts.append(_text(lx + 24, ly, label, 11))
 
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
+
+
+def _text(x, y, body, size, anchor="", extra="") -> str:
+    """A ``<text>`` element with ``body`` escaped; ``x`` and ``y`` are written
+    as given, ``extra`` holds further attributes with their leading space."""
+    anchor = f' text-anchor="{anchor}"' if anchor else ""
+    return (
+        f'<text x="{x}" y="{y}"{anchor} font-family="sans-serif" '
+        f'font-size="{size}"{extra}>{body.translate(_ENTITIES)}</text>'
+    )
+
+
+def _line(x1, y1, x2, y2, stroke="#000000", extra="") -> str:
+    """A ``<line>`` element; coordinates are written as given."""
+    return f'<line x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}" stroke="{stroke}"{extra}/>'
 
 
 def _pad_range(lo: float, hi: float) -> tuple[float, float]:

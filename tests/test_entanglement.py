@@ -247,6 +247,12 @@ class TestEntropyRate:
         with pytest.raises(ValueError, match="tau must be finite"):
             entropy_rate_m1(ModelSpec(5, 1), tau)
 
+    @pytest.mark.parametrize("tau", [1e308, -1e308])
+    def test_overflowing_cycle_count_rejected(self, tau):
+        # tau is finite and N * tau is not, so the cycle count cannot be rounded
+        with pytest.raises(ValueError, match="N \\* tau"):
+            entropy_rate_m1(ModelSpec(7, 1), tau)
+
     def test_matches_finite_difference(self):
         step = 1e-6
         rng = np.random.default_rng(23)

@@ -1,10 +1,12 @@
 from __future__ import annotations
 
-import math
+import dataclasses
 
 import numpy as np
 import pytest
 
+from spinvdw.combinatorics import b_table
+from spinvdw.evolution import amplitudes_at
 from spinvdw.model import ModelSpec
 
 
@@ -20,10 +22,27 @@ def test_non_integer_site_counts_rejected(n, m):
         ModelSpec(n, m)
 
 
-@pytest.mark.parametrize("coupling", [math.inf, -math.inf, math.nan, 0.0, -1.0])
-def test_bad_coupling_rejected(coupling):
-    with pytest.raises(ValueError):
-        ModelSpec(6, 2, coupling)
+def test_fields_are_the_two_site_counts():
+    assert [f.name for f in dataclasses.fields(ModelSpec)] == ["n_total", "m_excited"]
+
+
+@pytest.mark.parametrize(
+    "make", [lambda: ModelSpec(6, 2, 2.0), lambda: ModelSpec(6, 2, coupling=2.0)],
+    ids=["positional", "keyword"],
+)
+def test_coupling_is_not_settable(make):
+    with pytest.raises(TypeError):
+        make()
+
+
+def test_coupling_is_the_unit():
+    assert ModelSpec(7, 1).coupling == 1.0
+
+
+def test_table_serves_an_equal_spec():
+    table = b_table(ModelSpec(7, 1))
+    amplitudes = amplitudes_at(ModelSpec(7, 1), table, 0.1).amplitudes
+    assert amplitudes.shape == (2,) and np.isfinite(amplitudes).all()
 
 
 @pytest.mark.parametrize("n,m", [(1, 0), (4, 5), (4, -1)])
