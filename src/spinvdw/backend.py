@@ -6,7 +6,10 @@ is the only one.  A grid is cut into equal row blocks, each small enough
 that its cos and sin rows fill at most ``BLOCK_BYTES``, and the blocks are
 dealt to at most ``MAX_WORKERS`` workers: the calling thread works one share
 and a plain helper thread each other share, since the kernel's time goes to
-numpy's cos, sin, matmul and log2 on whole blocks, which release the GIL.
+numpy's tan, matmul and log2 on whole blocks, which release the GIL.  The
+cos and sin rows come from the tangent of the half angle, t = tan(tau phi/2):
+numpy's float64 tan is a SIMD loop, while its cos and sin are scalar libm
+calls, about ten times slower per element.
 Memory is the output plus each worker's two block buffers of at most
 ``BLOCK_BYTES`` each, whatever the grid length and the number of modes.
 Every block is computed the same way whichever worker takes it, so the rows
@@ -27,11 +30,13 @@ KERNEL_BACKEND = "python"
 ZERO_CUTOFF = 1e-300
 
 # Bytes of each of a worker's two block buffers.  A block holds as many grid
-# rows as fit, at 16 bytes per row and mode (a cos and a sin float), so the
-# kernel's scratch depends neither on the grid length nor on M'+1.  At 512 KiB
-# a worker's two buffers fit a 2 MiB L2 cache, and the maxima scan's and the
-# figures' grids (up to 4097 rows at M'+1 = 2) stay one block; 256 KiB to
-# 1 MiB ran the grid benchmark equally fast.
+# rows as fit, at 16 bytes per row and mode (a cos and a sin float, both made
+# in place from the half-angle tangent, since numpy's float64 tan is a SIMD
+# loop and its cos and sin scalar libm), so the kernel's scratch depends
+# neither on the grid length nor on M'+1.  At 512 KiB a worker's two buffers
+# fit a 2 MiB L2 cache, and the maxima scan's and the figures' grids (up to
+# 4097 rows at M'+1 = 2) stay one block; 256 KiB to 1 MiB ran the grid
+# benchmark equally fast.
 BLOCK_BYTES = 1 << 19
 
 # Workers that share a multi-block grid, at most one per available CPU: the
@@ -68,6 +73,16 @@ def schmidt_entropy_grid(b, phases, degeneracy, taus):
     and sin makes every block, a lone row included, take the matrix-matrix
     product rather than the matrix-vector one.
 
+    Both rows come from one tangent per angle, t = tan(tau phi / 2), as
+    cos = (1 - t^2) / (1 + t^2) and sin = 2t / (1 + t^2), computed in place
+    in the two buffers: numpy's float64 tan runs as a SIMD loop, its cos
+    and sin as scalar libm (1.9 ns against 22 ns per element with numpy
+    2.4.6 on a 2-CPU x86-64 Xeon, where cos and sin took most of the
+    kernel's time).  Each element's pair comes from its own rounded angle,
+    so no error accumulates along a row and rows stay independent of one
+    another; at the tangent's poles t is about 1e16 and the pair is
+    (-1, 0) within rounding.
+
     Rounding, as measured with the OpenBLAS 0.3.31 of numpy's wheel on a
     2-CPU x86-64 Xeon: once M'+1 >= 32, OpenBLAS takes its small-matrix
     kernel for a product of at most 1200 output floats, 2 x rows x (M'+1),
@@ -79,7 +94,9 @@ def schmidt_entropy_grid(b, phases, degeneracy, taus):
     2001, not 400 or 1000) the last few rows of any product, so there a row
     next to a block's end depends on the grid length and on
     ``BLOCK_BYTES``.  An overflowing phase gives NaN rows without a warning,
-    and so a NaN drift, which the caller's normalization check rejects.
+    and so a NaN drift, which the caller's normalization check rejects: the
+    angle is halved after the product, so an overflowing tau phi gives a
+    NaN tangent even where tau phi / 2 is finite.
 
     The blocks are dealt to min(available CPUs, blocks, ``MAX_WORKERS``)
     workers, each of which works in its own two buffers, allocated once per
@@ -107,11 +124,21 @@ def schmidt_entropy_grid(b, phases, degeneracy, taus):
             amps = product_buffer[: 2 * rows]
             p = probs[start:stop]
             block_entropy = entropies[start:stop]
+            cos, sin, denominator = trig[:rows], trig[rows:], amps[:rows]
             # numpy's error state is per thread
             with np.errstate(over="ignore", invalid="ignore"):
-                np.multiply.outer(taus[start:stop], phases, out=trig[rows:])
-                np.cos(trig[rows:], out=trig[:rows])
-                np.sin(trig[rows:], out=trig[rows:])
+                # the angle, halved after the product so that an overflowing
+                # angle stays infinite, and t = tan(angle / 2)
+                np.multiply.outer(taus[start:stop], phases, out=sin)
+                sin *= 0.5
+                np.tan(sin, out=sin)
+            # cos = (1 - t^2) / (1 + t^2) and sin = 2t / (1 + t^2)
+            np.multiply(sin, sin, out=cos)
+            np.add(cos, 1.0, out=denominator)
+            np.subtract(1.0, cos, out=cos)
+            cos /= denominator
+            sin *= 2.0
+            sin /= denominator
             np.matmul(trig, b_t, out=amps)
             re, im = amps[:rows], amps[rows:]
             np.multiply(re, re, out=re)

@@ -241,7 +241,7 @@ def cmd_maxima(args: argparse.Namespace) -> int:
     _check_n_range(args.n_min, args.n_max)
     if args.out is None:
         raise UsageError("maxima needs --out")
-    rows = [row for row in magic_number_scan(args.n_max) if row.n_total >= args.n_min]
+    rows = magic_number_scan(args.n_max, args.n_min)
     header = ["n", "tau_prime", "tau_double_prime", "max_entropy", "argmax_tau"]
     lines = [
         ",".join([

@@ -198,18 +198,18 @@ def critical_times_m1(spec: ModelSpec) -> CriticalTimes:
     return CriticalTimes(spec, None, t_double_prime, None, e_double_prime)
 
 
-def magic_number_scan(n_max: int) -> list[ScanRow]:
-    """Maximum entanglement per system size N = 2..n_max for M = 1.
+def magic_number_scan(n_max: int, n_min: int = 2) -> list[ScanRow]:
+    """Maximum entanglement per system size N = n_min..n_max for M = 1.
 
     The analytic maximum (best of the tau'/tau'' candidates) is cross-checked
     against a dense grid of ``SCAN_GRID_POINTS`` intervals over half a
     period, refined by zoom grids; a disagreement beyond 1e-8 ebits raises
     ArithmeticError.
     """
-    if n_max < 2:
-        raise ValueError(f"n_max must be >= 2, got {n_max}")
+    if n_min < 2 or n_max < n_min:
+        raise ValueError(f"need 2 <= n_min <= n_max, got {n_min}..{n_max}")
     rows = []
-    for n in range(2, n_max + 1):
+    for n in range(n_min, n_max + 1):
         spec = ModelSpec(n, 1)
         crit = critical_times_m1(spec)
         if crit.t_prime is not None:

@@ -16,7 +16,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spinvdw import cli
+from spinvdw import cli, entanglement
+from spinvdw.combinatorics import b_table
 from spinvdw.cli import _build_parser, _format_block, _parse_args, main
 from spinvdw.entanglement import entropy_grid
 from spinvdw.model import ModelSpec
@@ -269,6 +270,23 @@ class TestMaxima:
         assert hashlib.sha256(out.read_bytes()).hexdigest() == (
             "d2a95c278393d7996d044d1008ed936e87211fae7e9b21dc96d7491d623a030d"
         )
+
+    def test_narrow_range_scans_only_its_sizes(self, tmp_path, monkeypatch):
+        full = tmp_path / "full.csv"
+        assert main(["maxima", "--n-max", "200", "--out", str(full)]) == 0
+        built = []
+
+        def counted(spec):
+            built.append(spec)
+            return b_table(spec)
+
+        monkeypatch.setattr(entanglement, "b_table", counted)
+        entanglement.exact_table.cache_clear()
+        out = tmp_path / "maxima.csv"
+        assert main(["maxima", "--n-min", "190", "--n-max", "200", "--out", str(out)]) == 0
+        header, *rows = full.read_text().splitlines(keepends=True)
+        assert out.read_text().splitlines(keepends=True) == [header] + rows[-11:]
+        assert built == [ModelSpec(n, 1) for n in range(190, 201)]
 
     def test_two_site_critical_time_bytes(self, tmp_path):
         out = tmp_path / "maxima.csv"

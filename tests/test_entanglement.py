@@ -366,6 +366,12 @@ class TestMagicNumberScan:
         with pytest.raises(ValueError):
             magic_number_scan(1)
 
+    def test_range_start(self):
+        assert magic_number_scan(12, 9) == magic_number_scan(12)[7:]
+        for n_max, n_min in ((4, 5), (4, 1)):
+            with pytest.raises(ValueError):
+                magic_number_scan(n_max, n_min)
+
 
 def test_one_entry_table_cache_serves_runs_of_one_spec(monkeypatch):
     built = []

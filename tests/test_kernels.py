@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 import os
 import subprocess
 import sys
@@ -49,6 +50,43 @@ def test_zero_probability_entropy_guard():
     assert np.isfinite(entropies).all()
     assert abs(entropies[0]) < 1e-12
     assert abs(probs[0, 0] - 1.0) < 1e-12
+
+
+@pytest.mark.parametrize("n_total, m_excited", [(6, 3), (24, 12)])
+def test_rows_at_the_half_angle_tangent_poles(n_total, m_excited):
+    # the kernel takes cos and sin of tau*phi from tan(tau*phi / 2), which has
+    # a pole where tau*phi / 2 is an odd multiple of pi/2: times on and one ulp
+    # beside tau*phi = pi and 3 pi, for every nonzero phase, and tau = 0
+    inputs = table_arrays(ModelSpec(n_total, m_excited))
+    centres = [k * np.pi / phi for phi in inputs[1] if phi != 0 for k in (1, 3)]
+    taus = np.array([0.0] + [
+        t for c in centres for t in (np.nextafter(c, -np.inf), c, np.nextafter(c, np.inf))
+    ])
+    probs, entropies, drift = backend.schmidt_entropy_grid(*inputs, taus)
+    assert np.isfinite(probs).all() and np.isfinite(entropies).all()
+    assert drift < 1e-13
+    ref_probs, ref_entropies = _complex_reference(*inputs, taus)
+    assert np.max(np.abs(probs - ref_probs)) < 1e-14
+    assert np.max(np.abs(entropies - ref_entropies)) < 1e-14
+
+
+def test_overflowing_angle_with_finite_half_is_nan_and_rejected():
+    # tau * phi overflows although tau * phi / 2 does not: the angle is halved
+    # after the product, so the row is NaN rather than the tangent's row at a
+    # finite half angle
+    spec = ModelSpec(9, 4)
+    inputs = table_arrays(spec)
+    phi = float(np.abs(inputs[1]).max())
+    tau = 1.5 * (sys.float_info.max / phi)
+    assert math.isinf(tau * phi) and math.isfinite(tau / 2 * phi)
+    taus = np.array([0.0, tau, 1.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        probs, _, drift = backend.schmidt_entropy_grid(*inputs, taus)
+        assert np.isnan(drift)
+        assert np.isnan(probs[1]).any() and np.isfinite(probs[[0, 2]]).all()
+        with pytest.raises(NormalizationError, match="drift nan"):
+            entropy_grid(spec, taus)
 
 
 def test_table_float_data_cached_exact_and_read_only():
