@@ -35,8 +35,11 @@ ZERO_CUTOFF = 1e-300
 # loop and its cos and sin scalar libm), so the kernel's scratch depends
 # neither on the grid length nor on M'+1.  At 512 KiB a worker's two buffers
 # fit a 2 MiB L2 cache, and the maxima scan's and the figures' grids (up to
-# 4097 rows at M'+1 = 2) stay one block; 256 KiB to 1 MiB ran the grid
-# benchmark equally fast.
+# 4097 rows at M'+1 = 2) stay one block.  Timed on a 2-vCPU Xeon with 2 MiB
+# of L2 per core, one BLAS thread, the grid benchmark's six entropy_grid
+# calls in one process, 15 and 21 alternating rounds: against 512 KiB, the
+# median ran 18-19% slower at 256 KiB and 7% faster at 1 MiB, whose quartiles
+# overlap 512 KiB's; 1 MiB would add 2 MiB of buffers across two workers.
 BLOCK_BYTES = 1 << 19
 
 # Workers that share a multi-block grid, at most one per available CPU: the

@@ -31,7 +31,6 @@ from .svgplot import line_plot
 FIG1_N_RANGE = range(2, 9)
 FIG2_N_RANGE = range(2, 11)
 FIG3_N_MAX = 30
-FIG1_GRID = 2048
 FIG2_GRID = 4096
 
 # Evolve tables of at least this many floats are formatted in two processes
@@ -205,6 +204,13 @@ def _write_csv(path: Path, header: list[str], blocks) -> None:
         handle.writelines(blocks)
 
 
+def _write_plot(csv_path: Path, series, title: str, x_label: str, y_label: str) -> None:
+    """The SVG line plot of ``series`` next to the CSV at ``csv_path``, with
+    the suffix ``.svg``."""
+    svg = line_plot(series, title=title, x_label=x_label, y_label=y_label)
+    csv_path.with_suffix(".svg").write_text(svg)
+
+
 def cmd_evolve(args: argparse.Namespace) -> int:
     if args.n < 2:
         raise UsageError(f"n must be >= 2, got {args.n}")
@@ -227,13 +233,8 @@ def cmd_evolve(args: argparse.Namespace) -> int:
     if args.svg:
         series = [(f"p_{m}", taus, probs[:, m]) for m in range(spec.m_prime + 1)]
         series.append(("entropy", taus, entropies))
-        svg = line_plot(
-            series,
-            title=f"N={spec.n_total}, M={spec.m_excited}",
-            x_label="tau",
-            y_label="probability / ebits",
-        )
-        args.out.with_suffix(".svg").write_text(svg)
+        _write_plot(args.out, series, f"N={spec.n_total}, M={spec.m_excited}",
+                    "tau", "probability / ebits")
     return 0
 
 
@@ -300,56 +301,39 @@ def cmd_figures(args: argparse.Namespace) -> int:
     out_dir = args.out_dir
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    # family 1: Schmidt probabilities and entropy over one period per N
-    header1 = ["n", "tau", "p_0", "p_1", "entropy"]
-    parts1 = []
-    series1 = []
-    for n in FIG1_N_RANGE:
-        spec = ModelSpec(n, 1)
-        taus = np.linspace(0.0, 2.0 * math.pi / n, FIG1_GRID + 1)
-        probs, entropies = entropy_grid(spec, taus)
-        parts1.append((f"{n},", np.column_stack([taus, probs, entropies])))
-        series1.append((f"p_0 N={n}", taus, probs[:, 0]))
-        series1.append((f"p_1 N={n}", taus, probs[:, 1]))
-        series1.append((f"E N={n}", taus, entropies))
-    _write_csv(out_dir / "fig1.csv", header1, [_format_block(parts1)])
-
-    # family 2: entropy against the rescaled time N*tau
-    header2 = ["n", "tau", "rescaled_tau", "entropy"]
-    parts2 = []
-    series2 = []
+    # one M = 1 curve per N on family 2's grid; family 1 takes every second
+    # point, which is np.linspace's grid of half as many steps bit for bit
+    parts1, series1, parts2, series2 = [], [], [], []
     for n in FIG2_N_RANGE:
-        spec = ModelSpec(n, 1)
         taus = np.linspace(0.0, 2.0 * math.pi / n, FIG2_GRID + 1)
-        _, entropies = entropy_grid(spec, taus)
+        probs, entropies = entropy_grid(ModelSpec(n, 1), taus)
+        if n in FIG1_N_RANGE:
+            # family 1: Schmidt probabilities and entropy over one period
+            table = np.column_stack([taus[::2], probs[::2], entropies[::2]])
+            parts1.append((f"{n},", table))
+            taus1, p_0, p_1, entropies1 = table.T
+            series1 += [(f"p_0 N={n}", taus1, p_0), (f"p_1 N={n}", taus1, p_1),
+                        (f"E N={n}", taus1, entropies1)]
+        # family 2: entropy against the rescaled time N*tau
         rescaled = n * taus
         parts2.append((f"{n},", np.column_stack([taus, rescaled, entropies])))
         series2.append((f"N={n}", rescaled, entropies))
-    _write_csv(out_dir / "fig2.csv", header2, [_format_block(parts2)])
+    fig1, fig2, fig3 = (out_dir / f"fig{k}.csv" for k in (1, 2, 3))
+    _write_csv(fig1, ["n", "tau", "p_0", "p_1", "entropy"], [_format_block(parts1)])
+    _write_csv(fig2, ["n", "tau", "rescaled_tau", "entropy"], [_format_block(parts2)])
 
     # family 3: maximum entanglement against system size
     scan = magic_number_scan(FIG3_N_MAX)
-    header3 = ["n", "max_entropy"]
     rows3 = [f"{row.n_total},{_fmt(row.max_entropy)}\n" for row in scan]
-    _write_csv(out_dir / "fig3.csv", header3, rows3)
+    _write_csv(fig3, ["n", "max_entropy"], rows3)
 
     if args.svg:
-        (out_dir / "fig1.svg").write_text(
-            line_plot(series1, title="Schmidt probabilities and entanglement, M=1",
-                      x_label="tau", y_label="probability / ebits")
-        )
-        (out_dir / "fig2.svg").write_text(
-            line_plot(series2, title="Entanglement vs rescaled time, M=1",
-                      x_label="N tau", y_label="ebits")
-        )
-        (out_dir / "fig3.svg").write_text(
-            line_plot(
-                [("max entanglement", [row.n_total for row in scan], [row.max_entropy for row in scan])],
-                title="Maximum entanglement vs system size, M=1",
-                x_label="N",
-                y_label="ebits",
-            )
-        )
+        _write_plot(fig1, series1, "Schmidt probabilities and entanglement, M=1",
+                    "tau", "probability / ebits")
+        _write_plot(fig2, series2, "Entanglement vs rescaled time, M=1", "N tau", "ebits")
+        _write_plot(fig3, [("max entanglement", [row.n_total for row in scan],
+                            [row.max_entropy for row in scan])],
+                    "Maximum entanglement vs system size, M=1", "N", "ebits")
     return 0
 
 

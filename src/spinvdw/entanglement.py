@@ -100,7 +100,7 @@ def exact_table(spec: ModelSpec) -> BCoefficientTable:
     One entry serves each caller's run of calls on one spec: the maxima scan
     makes about 6 kernel calls per spec (199 specs), verify a table and one
     kernel call per sector (54), the grid benchmark two tau sets per spec (3).
-    ``figures`` asks for M = 1 at N = 2..8, 2..10, 2..30: 45 rebuilds (7 + 9 + 29),
+    ``figures`` asks for M = 1 at N = 2..10, then 2..30: 38 rebuilds (9 + 29),
     ~70 us each.
     """
     return b_table(spec)

@@ -142,6 +142,10 @@ class TestEvolve:
         code = main(["evolve", "--n", "2", "--out", str(tmp_path / "no" / "dir" / "x.csv")])
         assert code == 1
 
+    def test_missing_out_is_usage_error(self, capsys):
+        assert main(["evolve", "--n", "3"]) == 2
+        assert "evolve needs --out" in capsys.readouterr().err
+
     def test_bad_steps_is_usage_error(self, tmp_path):
         code = main(["evolve", "--n", "2", "--steps", "1", "--out", str(tmp_path / "x.csv")])
         assert code == 2
@@ -307,6 +311,10 @@ class TestMaxima:
         code = main(["--config", str(config), "maxima", "--n-max", "4", "--out", str(out)])
         assert code == 2
 
+    def test_missing_out_is_usage_error(self, capsys):
+        assert main(["maxima", "--n-max", "3"]) == 2
+        assert "maxima needs --out" in capsys.readouterr().err
+
     def test_descending_range_rejected(self, tmp_path):
         code = main(["maxima", "--n-min", "9", "--n-max", "4", "--out", str(tmp_path / "x.csv")])
         assert code == 2
@@ -332,6 +340,10 @@ class TestVerify:
     def test_budget_is_twenty_four_sites(self, capsys):
         assert main(["verify", "--n-max", "25"]) == 2
         assert "n-max <= 24 (sector budget)" in capsys.readouterr().err
+
+    def test_m_above_n_max_is_usage_error(self, capsys):
+        assert main(["verify", "--n-max", "6", "--m", "7"]) == 2
+        assert "m must lie in 0..6" in capsys.readouterr().err
 
     def test_restricted_to_balanced_sector(self, capsys):
         assert main(["verify", "--n-max", "10", "--m", "5"]) == 0
@@ -427,6 +439,20 @@ class TestFigures:
             assert line.attrib["points"] == from_csv.attrib["points"]
 
 
+    def test_one_kernel_call_per_curve(self, tmp_path, monkeypatch):
+        # family 1 is every second point of family 2's curve; the maxima
+        # scan calls the kernel through entanglement, not through the CLI
+        calls = []
+
+        def counted(spec, tau_grid):
+            calls.append((spec, len(tau_grid)))
+            return entropy_grid(spec, tau_grid)
+
+        monkeypatch.setattr(cli, "entropy_grid", counted)
+        assert main(["figures", "--out-dir", str(tmp_path)]) == 0
+        assert calls == [(ModelSpec(n, 1), cli.FIG2_GRID + 1) for n in range(2, 11)]
+
+
 class TestConfigPrecedence:
     def test_flags_beat_config_file(self, tmp_path):
         config = tmp_path / "run.cfg"
@@ -457,6 +483,7 @@ class TestConfigPrecedence:
             ("verify", "n=5", ["--n-max", "3"]),  # another command's key
             ("maxima", "tau_max=1", ["--n-max", "3"]),
             ("evolve", "steps=abc", ["--n", "3"]),  # bad value
+            ("evolve", "svg=maybe", ["--n", "3"]),  # neither on nor off
         ],
     )
     def test_bad_config_line_rejected(self, tmp_path, command, line, flags):
@@ -473,6 +500,20 @@ class TestConfigPrecedence:
         code = main(["--config", str(config), "evolve", "--n", "3", "--steps", "4", "--out", str(out)])
         assert code == 0
         assert out.with_suffix(".svg").exists()
+
+    def test_config_switch_off_writes_no_svg(self, tmp_path):
+        config = tmp_path / "run.cfg"
+        config.write_text("svg=false\n")
+        out = tmp_path / "evolve.csv"
+        code = main(["--config", str(config), "evolve", "--n", "3", "--steps", "4", "--out", str(out)])
+        assert code == 0
+        assert out.exists() and not out.with_suffix(".svg").exists()
+
+    def test_missing_config_file_rejected(self, tmp_path, capsys):
+        out = tmp_path / "evolve.csv"
+        assert main(["--config", str(tmp_path / "absent.cfg"), "evolve", "--out", str(out)]) == 2
+        assert "cannot read config file" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_every_flag_is_a_config_key(self, tmp_path):
         # (text in the file, parsed value) by the flag's type; None is a switch

@@ -10,6 +10,7 @@ from spinvdw.combinatorics import (
     b_coefficient,
     b_table,
     binomial,
+    mode_frequencies,
     schmidt_multiplicities,
 )
 from spinvdw.model import ModelSpec
@@ -155,3 +156,18 @@ def test_schmidt_multiplicities():
     assert schmidt_multiplicities(ModelSpec(7, 3)) == (1, 12, 18, 4)
     assert schmidt_multiplicities(ModelSpec(5, 0)) == (1,)
     assert schmidt_multiplicities(ModelSpec(2, 1)) == (1, 1)
+
+
+class TestModeFrequencies:
+    @pytest.mark.parametrize(
+        "n,m,expected",
+        [(7, 1, [-6, 1]), (4, 2, [-4, 0, 2]), (2, 0, [0])],
+    )
+    def test_values(self, n, m, expected):
+        assert list(mode_frequencies(ModelSpec(n, m))) == expected
+
+    def test_frequency_formula_symmetric_under_reflection(self):
+        # n(N+1-n) is unchanged by n -> N+1-n
+        for n_tot in range(2, 15):
+            for n in range(0, n_tot + 2):
+                assert n * (n_tot + 1 - n) == (n_tot + 1 - n) * (n_tot + 1 - (n_tot + 1 - n))

@@ -362,6 +362,14 @@ class TestMagicNumberScan:
             assert len(sizes) <= 8
             assert sizes.count(1) == 1
 
+    def test_grid_disagreement_raises(self, monkeypatch):
+        def short_of_analytic(spec):
+            return max_entropy_at_t2(spec) - 1e-6, math.pi / spec.n_total
+
+        monkeypatch.setattr(entanglement, "_refined_grid_max", short_of_analytic)
+        with pytest.raises(ArithmeticError, match="N=7"):
+            magic_number_scan(7, 7)
+
     def test_small_n_max_rejected(self):
         with pytest.raises(ValueError):
             magic_number_scan(1)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spinvdw.combinatorics import b_table, mode_frequencies, schmidt_multiplicities
+from spinvdw.combinatorics import b_table, schmidt_multiplicities
 from spinvdw.evolution import amplitudes_at
 from spinvdw.model import ModelSpec
 
@@ -15,21 +15,6 @@ from spinvdw.model import ModelSpec
 def weighted_norm(spec, amplitudes) -> float:
     degeneracy = np.array(schmidt_multiplicities(spec), dtype=float)
     return float((degeneracy * np.abs(amplitudes) ** 2).sum())
-
-
-class TestPhaseSpectrum:
-    @pytest.mark.parametrize(
-        "n,m,expected",
-        [(7, 1, [-6, 1]), (4, 2, [-4, 0, 2]), (2, 0, [0])],
-    )
-    def test_values(self, n, m, expected):
-        assert list(mode_frequencies(ModelSpec(n, m))) == expected
-
-    def test_frequency_formula_symmetric_under_reflection(self):
-        # n(N+1-n) is unchanged by n -> N+1-n
-        for n_tot in range(2, 15):
-            for n in range(0, n_tot + 2):
-                assert n * (n_tot + 1 - n) == (n_tot + 1 - n) * (n_tot + 1 - (n_tot + 1 - n))
 
 
 class TestAmplitudesAt:

@@ -44,6 +44,11 @@ class TestSectorBasis:
     def test_vacuum(self):
         assert sector_basis(3, 0).patterns.tolist() == [0]
 
+    @pytest.mark.parametrize("count", [6, -1])
+    def test_excitation_count_outside_the_sites_rejected(self, count):
+        with pytest.raises(ValueError, match="must lie in 0..5"):
+            sector_basis(5, count)
+
     def test_int64_pattern_width_is_the_limit(self):
         assert sector_basis(63, 1).patterns[-1] == 1 << 62
         with pytest.raises(BudgetExceededError, match="63 sites"):
