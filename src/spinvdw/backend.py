@@ -103,9 +103,10 @@ def schmidt_entropy_grid(b, phases, degeneracy, taus):
 
     The blocks are dealt to min(available CPUs, blocks, ``MAX_WORKERS``)
     workers, each of which works in its own two buffers, allocated once per
-    call in the calling thread.  The calling thread is worker 0; each helper
-    thread is joined before this returns or raises, and a helper's exception
-    is raised here unless the calling thread's own share raised first.
+    call in the calling thread.  The calling thread is worker 0 and runs its
+    share through the same runner as each helper thread, so every helper is
+    joined before this returns or raises, and the share that failed first
+    raises its exception here, a KeyboardInterrupt in the calling thread too.
     """
     taus = np.asarray(taus, float)
     phases = np.asarray(phases, float)
@@ -174,17 +175,15 @@ def schmidt_entropy_grid(b, phases, degeneracy, taus):
     def run_share(w):
         try:
             drifts[w] = work(spans[w::workers], *buffers[w])
-        except BaseException as error:  # raised again in the calling thread
+        except BaseException as error:  # raised in the calling thread once all have joined
             failures.append(error)
 
     helpers = [Thread(target=run_share, args=(w,)) for w in range(1, workers)]
     for helper in helpers:
         helper.start()
-    try:
-        drifts[0] = work(spans[::workers], *buffers[0])
-    finally:
-        for helper in helpers:
-            helper.join()
+    run_share(0)
+    for helper in helpers:
+        helper.join()
     if failures:
         raise failures[0]
     return probs, entropies, float(np.max(drifts))

@@ -68,12 +68,9 @@ def main(argv=None) -> int:
     try:
         args = _parse_args(argv)
         return _COMMANDS[args.command][0](args)
-    except (UsageError, BudgetExceededError) as exc:
+    except Exception as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except Exception as exc:  # runtime / numeric / I-O failure
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, (UsageError, BudgetExceededError)) else 1
 
 
 def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
@@ -148,11 +145,6 @@ def _cast_bool(text: str) -> bool:
     if lowered in ("0", "false", "no", "off"):
         return False
     raise ValueError(text)
-
-
-def _check_n_range(n_min: int, n_max: int) -> None:
-    if n_min < 2 or n_max < n_min:
-        raise UsageError(f"need 2 <= n-min <= n-max, got {n_min}..{n_max}")
 
 
 def _fmt(value: float) -> str:
@@ -239,7 +231,8 @@ def cmd_evolve(args: argparse.Namespace) -> int:
 
 
 def cmd_maxima(args: argparse.Namespace) -> int:
-    _check_n_range(args.n_min, args.n_max)
+    if args.n_min < 2 or args.n_max < args.n_min:
+        raise UsageError(f"need 2 <= n-min <= n-max, got {args.n_min}..{args.n_max}")
     if args.out is None:
         raise UsageError("maxima needs --out")
     rows = magic_number_scan(args.n_max, args.n_min)
@@ -260,7 +253,8 @@ def cmd_maxima(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     n_max = args.n_max
-    _check_n_range(2, n_max)
+    if n_max < 2:
+        raise UsageError(f"n-max must be >= 2, got {n_max}")
     if args.m is not None and not 0 <= args.m <= n_max:
         raise UsageError(f"m must lie in 0..{n_max}, got {args.m}")
     if n_max > SECTOR_SITE_BUDGET:
@@ -352,17 +346,17 @@ _COMMANDS = {
         ("--svg", bool, False, "also write an SVG plot next to the CSV"),
     )),
     "maxima": (cmd_maxima, "maximum entanglement per system size (single excitation)", (
-        ("--n-min", int, 2, None),
-        ("--n-max", int, FIG3_N_MAX, None),
+        ("--n-min", int, 2, "smallest number of sites N"),
+        ("--n-max", int, FIG3_N_MAX, "largest number of sites N"),
         ("--out", Path, None, "output CSV path"),
     )),
     "verify": (cmd_verify, "cross-check closed forms against the sector hop Hamiltonian", (
-        ("--n-max", int, 8, None),
+        ("--n-max", int, 8, f"check every N from 2 up to this, at most {SECTOR_SITE_BUDGET}"),
         ("--m", int, None, "restrict to one excitation count (default: all M <= N/2)"),
         ("--out", Path, None, "optional report file"),
     )),
     "figures": (cmd_figures, "emit the bundled curve-family datasets", (
-        ("--out-dir", Path, Path("figures"), None),
+        ("--out-dir", Path, Path("figures"), "directory for the CSV and SVG files"),
         ("--svg", bool, False, "also write SVG plots"),
     )),
 }

@@ -62,7 +62,9 @@ from .model import ModelSpec
 # 16-row basis (281 MB resident of the 346 MB allocated, as rows never
 # written take no pages) and the product's few d-length vectors of 22 MB
 # each; the first chunk's Schmidt maps and reduction add up to 7 MiB.
-# (26,13) would need about 2.5 GB.
+# With the budget raised, (26,13) verified 2 samples in 85 s at a peak of
+# 2151 MiB on the same host, so verify's 64 samples would take about 18
+# minutes there.
 SECTOR_SITE_BUDGET = 24
 # Lanczos stops once its residual falls below this fraction of the
 # Hamiltonian's Frobenius norm, a bound on the spectral radius.
@@ -415,15 +417,26 @@ def verify_closed_form(spec: ModelSpec, tau_samples) -> VerificationReport:
     first :func:`schmidt_eigenvalues` call only.  Both closed forms are
     stacked and compared with each chunk at once, in descending order: the
     oracle's first M'+1 eigenvalues with their M'+1 probabilities, and the
-    rest of its 2^M' with zero.  Raises ValueError unless the samples are
-    finite and non-empty; a NaN deviation fails the report.
+    rest of its 2^M' with zero.  A NaN deviation fails the report.
+
+    The closed forms run first, so samples that are not a non-empty 1-d
+    array of finite times raise ValueError before any sector is built:
+    :func:`amplitudes_at` rejects non-finite and 2-d samples and
+    :func:`entropy_grid` empty ones.
+
+    From N = 16 on, the deviations measure the oracle's own error, not the
+    closed form's: with one BLAS thread they read 2.2e-14 at (16,8),
+    1.6e-13 at (20,10) and, with the budget raised, 1.15e-11 at (26,13),
+    where the kernel is within 2.3e-15 of a 40-digit reference.  The error
+    grows linearly in tau, because the Lanczos Ritz values miss the exact
+    frequencies by 1e-14 to 1e-13.  ``KRYLOV_BREAKDOWN`` does not cause it:
+    Lanczos never stops early, so tightening that threshold would not
+    reduce the error.
     """
     from .entanglement import entropy, entropy_grid, exact_table, schmidt_spectrum
     from .evolution import amplitudes_at
 
     taus = np.atleast_1d(np.asarray(tau_samples, dtype=float))
-    if taus.size == 0 or not np.isfinite(taus).all():
-        raise ValueError("tau samples must be finite and non-empty")
     # built once: the kernel path below reads the same table
     reference = schmidt_spectrum(amplitudes_at(spec, exact_table(spec), taus))
     kernel_probs, kernel_entropies = entropy_grid(spec, taus)

@@ -21,6 +21,7 @@ from spinvdw.combinatorics import b_table
 from spinvdw.cli import _build_parser, _format_block, _parse_args, main
 from spinvdw.entanglement import entropy_grid
 from spinvdw.model import ModelSpec
+from spinvdw.oracle import BudgetExceededError
 from spinvdw.svgplot import line_plot
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
@@ -344,6 +345,26 @@ class TestVerify:
     def test_m_above_n_max_is_usage_error(self, capsys):
         assert main(["verify", "--n-max", "6", "--m", "7"]) == 2
         assert "m must lie in 0..6" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("n_max", ["1", "0"])
+    def test_n_max_below_two_is_usage_error(self, capsys, n_max):
+        # verify has no --n-min, so the message must not name one
+        assert main(["verify", "--n-max", n_max]) == 2
+        err = capsys.readouterr().err
+        assert f"n-max must be >= 2, got {n_max}" in err
+        assert "n-min" not in err
+
+    @pytest.mark.parametrize("error, code", [(BudgetExceededError, 2), (ValueError, 1)])
+    def test_library_error_exit_code(self, monkeypatch, capsys, error, code):
+        # a budget error from the library is a usage error; any other exits 1
+        def failing(spec, taus):
+            raise error("from the library")
+
+        monkeypatch.setattr(cli, "verify_closed_form", failing)
+        assert main(["verify", "--n-max", "2"]) == code
+        captured = capsys.readouterr()
+        assert captured.err == "error: from the library\n"
+        assert captured.out == ""
 
     def test_restricted_to_balanced_sector(self, capsys):
         assert main(["verify", "--n-max", "10", "--m", "5"]) == 0

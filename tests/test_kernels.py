@@ -334,24 +334,27 @@ def test_worker_exception_raised_in_caller(monkeypatch, worker_counts):
     assert worker_counts == [2]
 
 
-@pytest.mark.parametrize("failing", ["caller", "helper"])
+@pytest.mark.parametrize("failing", ["caller", "helper", "both"])
 def test_one_worker_failing_joins_the_helper(monkeypatch, worker_counts, failing):
-    # log2 fails in one worker only; its error is raised in the caller, and
-    # the helper has been joined by then, whichever of the two failed
+    # log2 fails in one worker or in both; the first error is raised in the
+    # caller, and the helper has been joined by then, whichever failed
     report_cpus(monkeypatch, 2)
     inputs = table_arrays(ModelSpec(9, 4))
     taus = np.linspace(0.0, 1.0, 8 * block_rows(inputs))
     caller, log2 = threading.current_thread(), np.log2
+    first = "helper" if failing == "helper" else "caller"
 
-    def log2_failing_in_one_worker(*args, **kwargs):
-        if (threading.current_thread() is caller) == (failing == "caller"):
-            raise FloatingPointError(failing)
-        time.sleep(0.05)  # the other worker is still busy when this one fails
+    def log2_failing(*args, **kwargs):
+        worker = "caller" if threading.current_thread() is caller else "helper"
+        if worker != first:
+            time.sleep(0.05)  # the other worker is still busy when the first one fails
+        if failing in (worker, "both"):
+            raise FloatingPointError(worker)
         return log2(*args, **kwargs)
 
-    monkeypatch.setattr(np, "log2", log2_failing_in_one_worker)
+    monkeypatch.setattr(np, "log2", log2_failing)
     threads = threading.active_count()
-    with pytest.raises(FloatingPointError, match=failing):
+    with pytest.raises(FloatingPointError, match=first):
         backend.schmidt_entropy_grid(*inputs, taus)
     assert threading.active_count() == threads
     assert worker_counts == [2]

@@ -619,9 +619,14 @@ class TestVerifyClosedForm:
         assert reference_calls == [(16,)]
 
     @pytest.mark.parametrize(
-        "samples", [[0.3, math.nan], [math.inf], [0.3, -math.inf], []], ids=str
+        "samples", [[0.3, math.nan], [math.inf], [0.3, -math.inf], [], [[0.3, 0.5]]], ids=str
     )
-    def test_non_finite_or_empty_samples_rejected(self, samples):
+    def test_non_finite_or_empty_samples_rejected(self, monkeypatch, samples):
+        # the closed forms reject the samples before any sector is built
+        def no_sector(*args):
+            raise AssertionError("a sector was built")
+
+        monkeypatch.setattr(oracle, "build_sector_hamiltonian", no_sector)
         with pytest.raises(ValueError):
             verify_closed_form(ModelSpec(4, 1), samples)
 
