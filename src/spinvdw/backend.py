@@ -61,11 +61,12 @@ def schmidt_entropy_grid(b, phases, degeneracy, taus):
 
     ``b`` is the (M'+1) x (M'+1) mixing matrix, ``phases`` the integer
     oscillation frequencies and ``degeneracy`` the Schmidt multiplicities,
-    all as float64.  Returns ``(probs, entropies, drift)``: arrays of shapes
-    ``(len(taus), M'+1)`` and ``(len(taus),)``, and the float max over the
-    rows of |sum(P) - 1|, NaN if any row holds a NaN.  Each block measures
-    its rows' drift right after writing them, so no pass over the output
-    follows.
+    all as float64 ndarrays, as is the 1-d ``taus``; the kernel takes them
+    as given and converts none.  Returns ``(probs, entropies, drift)``:
+    arrays of shapes ``(len(taus), M'+1)`` and ``(len(taus),)``, and the
+    float max over the rows of |sum(P) - 1|, NaN if any row holds a NaN.
+    Each block measures its rows' drift right after writing them, so no
+    pass over the output follows.
 
     The grid is walked in real arithmetic, in blocks of at most
     max(1, ``BLOCK_BYTES`` // (16 (M'+1))) rows: a block's stacked cos and sin
@@ -108,10 +109,7 @@ def schmidt_entropy_grid(b, phases, degeneracy, taus):
     joined before this returns or raises, and the share that failed first
     raises its exception here, a KeyboardInterrupt in the calling thread too.
     """
-    taus = np.asarray(taus, float)
-    phases = np.asarray(phases, float)
-    b_t = np.asarray(b, float).T
-    degeneracy = np.asarray(degeneracy, float)
+    b_t = b.T
     probs = np.empty((taus.shape[0], phases.shape[0]))
     entropies = np.empty(taus.shape[0])
     block_rows = max(1, BLOCK_BYTES // (16 * phases.shape[0]))
@@ -144,9 +142,8 @@ def schmidt_entropy_grid(b, phases, degeneracy, taus):
             sin *= 2.0
             sin /= denominator
             np.matmul(trig, b_t, out=amps)
+            np.multiply(amps, amps, out=amps)
             re, im = amps[:rows], amps[rows:]
-            np.multiply(re, re, out=re)
-            np.multiply(im, im, out=im)
             np.add(re, im, out=re)
             np.multiply(degeneracy, re, out=p)
             # max |sum(P) - 1| over the block's rows, in its entropy slot

@@ -23,10 +23,14 @@ array at once, without a Lanczos step.
 
 The reduced density of a sector state is block diagonal in the traced
 side's excitation count, because the Hamiltonian conserves excitation
-number.  Each block of amplitudes is a slice of the basis order: the
-patterns ascend and the traced sites hold the high bits, so the states with
-j traced excitations fill their block row by row, one traced pattern per
-row and one kept pattern per column, with no sort or scatter.
+number.  Each block of amplitudes is one gather from the basis order: the
+patterns ascend and the traced sites hold the high bits, so the states of
+one traced pattern form one contiguous run, and the runs of the traced
+patterns with j excitations, taken in basis order, fill block j row by row,
+one traced pattern per row and one kept pattern per column, with no sort or
+scatter.  The runs of different j interleave: at N = 8, M = 3 and a cut
+after 3 sites, traced patterns 1, 2, 3 and 4 carry 1, 1, 2 and 1
+excitations.
 :func:`schmidt_eigenvalues` forms each block's Gram matrix on the smaller
 side of the cut, transposing the block (a view) where the kept side is the
 smaller one, and diagonalizes it block by block, for a whole stack of
@@ -296,8 +300,11 @@ def _schmidt_blocks(basis: SectorBasis, partition_size: int) -> tuple:
     The patterns ascend and the traced sites hold the high bits, so the
     states with j traced excitations sort by traced pattern first and by
     kept pattern second.  Every traced pattern with j excitations meets
-    every kept one with M - j, so those states, in basis order, are the
-    block in row-major order: C(N - p, j) rows of C(p, M - j) columns.
+    every kept one with M - j, so those states, gathered in basis order,
+    are the block in row-major order: C(N - p, j) rows of C(p, M - j)
+    columns, one contiguous run of the basis per row, with the runs of
+    other counts between them.  The counts come from one popcount of the
+    traced bits, exact for the non-negative int64 patterns.
 
     Memoized for the last (basis, partition size) key.  A basis hashes by
     (n_total, excitation_count), from which its patterns follow, so
@@ -305,11 +312,7 @@ def _schmidt_blocks(basis: SectorBasis, partition_size: int) -> tuple:
     maps, d int64 values, stay alive after :func:`verify_closed_form`
     returns."""
     traced_sites, count = basis.n_total - partition_size, basis.excitation_count
-    traced = basis.patterns >> partition_size
-    # one site at a time: a (d, sites) bit table would take 8 d sites bytes
-    traced_count = np.zeros_like(traced)
-    for site in range(traced_sites):
-        traced_count += traced >> site & 1
+    traced_count = np.bitwise_count(basis.patterns >> partition_size)
     blocks = []
     for j in range(max(0, count - partition_size), min(traced_sites, count) + 1):
         shape = (math.comb(traced_sites, j), math.comb(partition_size, count - j))
@@ -326,14 +329,15 @@ def schmidt_eigenvalues(state: SectorState, partition_size: int) -> np.ndarray:
     the smaller side that occurs in the sector (patterns that never occur
     only add zeros).  Excitation number is conserved, so rho is block
     diagonal in the traced side's excitation count j.  Block j of the
-    amplitudes, C_j, is a slice of the basis order reshaped
+    amplitudes, C_j, is gathered from the basis order and reshaped
     (:func:`_schmidt_blocks`): rows indexed by the traced pattern, columns
-    by the kept one.  C_j C_j^dagger and C_j^dagger C_j share their nonzero
-    spectrum, so each block forms the Gram matrix on the smaller side of
-    the cut, which is free accuracy and memory: where the first p sites are
-    the smaller side (2 p <= N), C_j is transposed first, as a view.  Each
-    block then takes one gather, one batched product and one batched
-    ``eigvalsh``.  Raises ValueError for a non-finite amplitude.
+    by the kept one, each row one contiguous run of the basis, the rows of
+    different j interleaved.  C_j C_j^dagger and C_j^dagger C_j share their
+    nonzero spectrum, so each block forms the Gram matrix on the smaller
+    side of the cut, which is free accuracy and memory: where the first p
+    sites are the smaller side (2 p <= N), C_j is transposed first, as a
+    view.  Each block then takes one gather, one batched product and one
+    batched ``eigvalsh``.  Raises ValueError for a non-finite amplitude.
     """
     basis = state.basis
     n_total = basis.n_total

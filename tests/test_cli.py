@@ -595,6 +595,14 @@ class TestModuleEntryPoint:
         modules = ["multiprocessing", "concurrent.futures"]
         assert self.loaded_by_import(modules, tmp_path) == "[]"
 
+    def test_multi_block_kernel_run_skips_the_process_pool(self, tmp_path):
+        # 4000 rows at M'+1 = 13 make two kernel blocks, so a helper thread
+        # starts where two CPUs exist, and the 60,000 values stay below
+        # PARALLEL_FORMAT_VALUES, so the CSV is formatted in this process
+        modules = ["concurrent.futures", "logging", "multiprocessing"]
+        argv = ["evolve", "--n", "24", "--m", "12", "--steps", "4000", "--out", "e.csv"]
+        assert self.loaded_by_import(modules, tmp_path, argv) == "[]"
+
     @pytest.mark.parametrize("argv", [
         ["verify", "--n-max", "4"],
         ["maxima", "--n-max", "8", "--out", "maxima.csv"],

@@ -411,21 +411,22 @@ class TestReducedDensity:
             assert oracle._schmidt_blocks.cache_info().misses == misses + 1, key
 
     def test_blocks_are_row_major_slices_of_the_basis_order(self):
-        # rows: traced patterns (sites p..n-1), columns: kept ones (sites 0..p-1)
-        for n in range(11):
-            for m in range(n + 1):
-                patterns = sector_basis(n, m).patterns
-                for p in range(n + 1):
-                    blocks = oracle._schmidt_blocks(sector_basis(n, m), p)
-                    members = np.sort(np.concatenate([members for members, _ in blocks]))
-                    assert np.array_equal(members, np.arange(patterns.size)), (n, m, p)
-                    for members, shape in blocks:
-                        traced = (patterns[members] >> p).reshape(shape)
-                        kept = (patterns[members] & ((1 << p) - 1)).reshape(shape)
-                        assert (traced == traced[:, :1]).all(), (n, m, p)
-                        assert (np.diff(traced[:, 0]) > 0).all(), (n, m, p)
-                        assert (kept == kept[:1]).all(), (n, m, p)
-                        assert (np.diff(kept[0]) > 0).all(), (n, m, p)
+        # rows: traced patterns (sites p..n-1), columns: kept ones (sites
+        # 0..p-1); (63, 1) sets bit 62, the top bit of an int64 pattern
+        cases = [(n, m, p) for n in range(11) for m in range(n + 1) for p in range(n + 1)]
+        cases += [(63, 1, p) for p in (0, 1, 31, 62, 63)] + [(40, 2, p) for p in (0, 20, 39, 40)]
+        for n, m, p in cases:
+            patterns = sector_basis(n, m).patterns
+            blocks = oracle._schmidt_blocks(sector_basis(n, m), p)
+            members = np.sort(np.concatenate([members for members, _ in blocks]))
+            assert np.array_equal(members, np.arange(patterns.size)), (n, m, p)
+            for members, shape in blocks:
+                traced = (patterns[members] >> p).reshape(shape)
+                kept = (patterns[members] & ((1 << p) - 1)).reshape(shape)
+                assert (traced == traced[:, :1]).all(), (n, m, p)
+                assert (np.diff(traced[:, 0]) > 0).all(), (n, m, p)
+                assert (kept == kept[:1]).all(), (n, m, p)
+                assert (np.diff(kept[0]) > 0).all(), (n, m, p)
 
     def test_partition_relabeling_invariance(self):
         # permuting the sites of the state and cutting along the permuted
