@@ -32,7 +32,7 @@ from .entanglement import (
     schmidt_spectrum,
 )
 from .evolution import AmplitudeVector, amplitudes_at
-from .model import ModelSpec
+from .model import InputError, ModelSpec
 from .oracle import (
     BudgetExceededError,
     KrylovEvolution,
@@ -50,40 +50,3 @@ from .oracle import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "KERNEL_BACKEND",
-    "__version__",
-    "AmplitudeVector",
-    "BCoefficientTable",
-    "BudgetExceededError",
-    "CriticalTimes",
-    "KrylovEvolution",
-    "ModelSpec",
-    "NormalizationError",
-    "ScanRow",
-    "SectorBasis",
-    "SectorHamiltonian",
-    "SectorState",
-    "SingularTimeError",
-    "VerificationReport",
-    "amplitudes_at",
-    "b_coefficient",
-    "b_table",
-    "binomial",
-    "build_sector_hamiltonian",
-    "critical_times_m1",
-    "entropy",
-    "entropy_grid",
-    "entropy_rate_m1",
-    "krylov_evolution",
-    "magic_number_scan",
-    "max_entropy_at_t2",
-    "propagate",
-    "schmidt_eigenvalues",
-    "schmidt_multiplicities",
-    "schmidt_spectrum",
-    "sector_basis",
-    "verify_closed_form",
-    "von_neumann_entropy",
-]

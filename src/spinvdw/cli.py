@@ -3,8 +3,15 @@
 Output contract: CSV with comma separator, dot decimal, LF line endings and
 a mandatory header row; floats are printed in shortest round-trip form, so
 identical configurations produce identical bytes, whether a long table is
-formatted in one process or two.  Exit codes: 0 success,
-1 runtime/numeric failure, 2 usage error.
+formatted in one process or two.
+
+Exit codes: 0 success, 2 for an :class:`~spinvdw.model.InputError` and 1
+for any other failure, each with one ``error:`` line on stderr.  The rules
+on N and M, on the maxima range and on the sector budget are the
+library's, and its InputError reaches ``main`` unchanged.  This module
+checks only its own flags and config file, with InputError too:
+``--tau-max``, ``--steps``, ``--out``, the ``--svg`` suffix, verify's
+``--n-max`` and ``--m``, and verify's early budget check.
 """
 
 from __future__ import annotations
@@ -19,13 +26,8 @@ import numpy as np
 
 from .backend import _available_cpus
 from .entanglement import entropy_grid, magic_number_scan
-from .model import ModelSpec
-from .oracle import (
-    SECTOR_SITE_BUDGET,
-    BudgetExceededError,
-    VerificationReport,
-    verify_closed_form,
-)
+from .model import InputError, ModelSpec
+from .oracle import SECTOR_SITE_BUDGET, VerificationReport, verify_closed_form
 from .svgplot import line_plot
 
 FIG1_N_RANGE = range(2, 9)
@@ -60,17 +62,13 @@ def verify_times(n: int, m: int) -> np.ndarray:
     return np.array([draw(0.0, 4.0 * math.pi) for _ in range(VERIFY_SAMPLES)])
 
 
-class UsageError(ValueError):
-    """Invalid run configuration (maps to exit code 2)."""
-
-
 def main(argv=None) -> int:
     try:
         args = _parse_args(argv)
         return _COMMANDS[args.command][0](args)
     except Exception as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2 if isinstance(exc, (UsageError, BudgetExceededError)) else 1
+        return 2 if isinstance(exc, InputError) else 1
 
 
 def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
@@ -119,22 +117,22 @@ def _load_config_file(path: Path, command: str) -> dict[str, object]:
     try:
         lines = path.read_text().splitlines()
     except OSError as exc:
-        raise UsageError(f"cannot read config file {path}: {exc}") from exc
+        raise InputError(f"cannot read config file {path}: {exc}") from exc
     for raw in lines:
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
-            raise UsageError(f"malformed config line: {raw!r}")
+            raise InputError(f"malformed config line: {raw!r}")
         key, _, text = (part.strip() for part in line.partition("="))
         if key not in casts:
-            raise UsageError(
+            raise InputError(
                 f"unknown config key {key!r} for {command}; expected one of {', '.join(casts)}"
             )
         try:
             values[key] = casts[key](text)
         except ValueError as exc:
-            raise UsageError(f"bad config value for {key}: {text!r}") from exc
+            raise InputError(f"bad config value for {key}: {text!r}") from exc
     return values
 
 
@@ -204,20 +202,16 @@ def _write_plot(csv_path: Path, series, title: str, x_label: str, y_label: str) 
 
 
 def cmd_evolve(args: argparse.Namespace) -> int:
-    if args.n < 2:
-        raise UsageError(f"n must be >= 2, got {args.n}")
-    if not 0 <= args.m <= args.n:
-        raise UsageError(f"m must lie in 0..{args.n}, got {args.m}")
-    tau_max = 2.0 * math.pi / args.n if args.tau_max is None else args.tau_max
-    if not (math.isfinite(tau_max) and tau_max > 0):
-        raise UsageError(f"tau-max must be positive and finite, got {tau_max}")
-    if args.steps < 2:
-        raise UsageError(f"steps must be >= 2, got {args.steps}")
     spec = ModelSpec(args.n, args.m)
+    tau_max = 2.0 * math.pi / spec.n_total if args.tau_max is None else args.tau_max
+    if not (math.isfinite(tau_max) and tau_max > 0):
+        raise InputError(f"tau-max must be positive and finite, got {tau_max}")
+    if args.steps < 2:
+        raise InputError(f"steps must be >= 2, got {args.steps}")
     if args.out is None:
-        raise UsageError("evolve needs --out")
+        raise InputError("evolve needs --out")
     if args.svg and args.out.with_suffix(".svg") == args.out:
-        raise UsageError(f"--svg would overwrite the CSV {args.out}; give --out another suffix")
+        raise InputError(f"--svg would overwrite the CSV {args.out}; give --out another suffix")
     taus = np.linspace(0.0, tau_max, args.steps)
     probs, entropies = entropy_grid(spec, taus)
     header = ["tau"] + [f"p_{m}" for m in range(spec.m_prime + 1)] + ["entropy"]
@@ -231,10 +225,8 @@ def cmd_evolve(args: argparse.Namespace) -> int:
 
 
 def cmd_maxima(args: argparse.Namespace) -> int:
-    if args.n_min < 2 or args.n_max < args.n_min:
-        raise UsageError(f"need 2 <= n-min <= n-max, got {args.n_min}..{args.n_max}")
     if args.out is None:
-        raise UsageError("maxima needs --out")
+        raise InputError("maxima needs --out")
     rows = magic_number_scan(args.n_max, args.n_min)
     header = ["n", "tau_prime", "tau_double_prime", "max_entropy", "argmax_tau"]
     lines = [
@@ -254,11 +246,11 @@ def cmd_maxima(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     n_max = args.n_max
     if n_max < 2:
-        raise UsageError(f"n-max must be >= 2, got {n_max}")
+        raise InputError(f"n-max must be >= 2, got {n_max}")
     if args.m is not None and not 0 <= args.m <= n_max:
-        raise UsageError(f"m must lie in 0..{n_max}, got {args.m}")
+        raise InputError(f"m must lie in 0..{n_max}, got {args.m}")
     if n_max > SECTOR_SITE_BUDGET:
-        raise UsageError(
+        raise InputError(
             f"verify is limited to n-max <= {SECTOR_SITE_BUDGET} (sector budget)"
         )
     pairs = []

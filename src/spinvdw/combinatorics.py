@@ -20,7 +20,7 @@ from math import comb
 
 import numpy as np
 
-from .model import ModelSpec
+from .model import InputError, ModelSpec
 
 
 def binomial(x: int, y: int) -> int:
@@ -31,7 +31,7 @@ def binomial(x: int, y: int) -> int:
     well-defined.
     """
     if x < 0:
-        raise ValueError(f"x must be non-negative, got {x}")
+        raise InputError(f"x must be non-negative, got {x}")
     if y < 0 or y > x:
         return 0
     return comb(x, y)
@@ -90,9 +90,7 @@ def b_coefficient(spec: ModelSpec, m: int, n: int) -> Fraction:
     """
     n_tot, m_exc, m_prime = spec.n_total, spec.m_excited, spec.m_prime
     if not (0 <= m <= m_prime and 0 <= n <= m_prime):
-        raise ValueError(
-            f"indices must lie in 0..{m_prime}, got m={m}, n={n}"
-        )
+        raise InputError(f"indices must lie in 0..{m_prime}, got m={m}, n={n}")
     return sum(
         Fraction((-1) ** k * comb(m, k), comb(n_tot - 2 * k, m_exc - k))
         * (binomial(n_tot + 1 - 2 * k, n - k) - 2 * binomial(n_tot - 2 * k, n - k - 1))

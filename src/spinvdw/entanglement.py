@@ -17,7 +17,7 @@ from . import backend
 from .backend import ZERO_CUTOFF
 from .combinatorics import BCoefficientTable, b_table
 from .evolution import AmplitudeVector
-from .model import ModelSpec
+from .model import InputError, ModelSpec, as_times
 
 # Integrity threshold on |sum(P) - 1| before a spectrum is rejected.
 NORMALIZATION_TOLERANCE = 1e-9
@@ -34,7 +34,7 @@ class NormalizationError(ValueError):
     """A state failed its unit-normalization invariant."""
 
 
-class SingularTimeError(ValueError):
+class SingularTimeError(InputError):
     """The entropy rate was requested at a cusp of the entropy curve."""
 
 
@@ -111,15 +111,14 @@ def entropy_grid(spec: ModelSpec, tau_grid) -> tuple[np.ndarray, np.ndarray]:
 
     Kernel-backed fast path used by the scans and the CLI; returns
     ``(probs, entropies)`` of shapes ``(T, M'+1)`` and ``(T,)``.  Raises
-    ValueError unless the grid is a non-empty 1-d array of finite times,
-    and :class:`NormalizationError` when the kernel's drift, the largest
-    |sum(P) - 1| over the rows, exceeds ``NORMALIZATION_TOLERANCE`` or is NaN.
+    :class:`InputError` for a grid that :func:`as_times` rejects or that is
+    not a non-empty 1-d array, and :class:`NormalizationError` when the
+    kernel's drift, the largest |sum(P) - 1| over the rows, exceeds
+    ``NORMALIZATION_TOLERANCE`` or is NaN.
     """
-    taus = np.ascontiguousarray(tau_grid, dtype=float)
+    taus = as_times(tau_grid)
     if taus.ndim != 1 or taus.size == 0:
-        raise ValueError("tau grid must be a non-empty 1-d array")
-    if not np.isfinite(taus).all():
-        raise ValueError("tau grid must hold finite times only")
+        raise InputError("tau grid must be a non-empty 1-d array")
     table = exact_table(spec)
     probs, entropies, drift = backend.schmidt_entropy_grid(
         table.array, table.phases, table.degeneracy, taus
@@ -131,22 +130,23 @@ def entropy_grid(spec: ModelSpec, tau_grid) -> tuple[np.ndarray, np.ndarray]:
 
 def _require_single_excitation(spec: ModelSpec, what: str) -> None:
     if spec.m_excited != 1:
-        raise ValueError(f"{what} is defined for a single initial excitation (M = 1)")
+        raise InputError(f"{what} is defined for a single initial excitation (M = 1)")
 
 
 def entropy_rate_m1(spec: ModelSpec, tau: float) -> float:
     """Analytic d/dtau of the single-excitation entanglement entropy.
 
     Evaluates ``2 (N-1)/N sin(N tau) log2[N^2/(4(N-1)) csc^2(N tau / 2) - 1]``.
-    Raises :class:`SingularTimeError` at multiples of 2 pi / N, where the
-    entropy has a cusp and the cosecant diverges, and ValueError for a
-    non-finite tau or N * tau.
+    Raises :class:`InputError` for a spec with M != 1, a tau that
+    :func:`as_times` rejects or a non-finite N * tau, and its subclass
+    :class:`SingularTimeError` at multiples of 2 pi / N, where the entropy
+    has a cusp and the cosecant diverges; a tau array raises TypeError.
     """
     _require_single_excitation(spec, "the closed-form entropy rate")
-    tau = float(tau)
+    tau = float(as_times(tau))
     n = spec.n_total
     if not math.isfinite(n * tau):
-        raise ValueError(f"tau must be finite, and N * tau too, got {tau!r} at N = {n}")
+        raise InputError(f"tau must be finite, and N * tau too, got {tau!r} at N = {n}")
     cycles = tau * n / (2.0 * math.pi)
     if abs(cycles - round(cycles)) < 1e-9:
         raise SingularTimeError(f"tau = {tau!r} is a multiple of 2*pi/{n}")
@@ -204,10 +204,10 @@ def magic_number_scan(n_max: int, n_min: int = 2) -> list[ScanRow]:
     The analytic maximum (best of the tau'/tau'' candidates) is cross-checked
     against a dense grid of ``SCAN_GRID_POINTS`` intervals over half a
     period, refined by zoom grids; a disagreement beyond 1e-8 ebits raises
-    ArithmeticError.
+    ArithmeticError.  Raises :class:`InputError` unless 2 <= n_min <= n_max.
     """
     if n_min < 2 or n_max < n_min:
-        raise ValueError(f"need 2 <= n_min <= n_max, got {n_min}..{n_max}")
+        raise InputError(f"need 2 <= n_min <= n_max, got {n_min}..{n_max}")
     rows = []
     for n in range(n_min, n_max + 1):
         spec = ModelSpec(n, 1)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .combinatorics import BCoefficientTable
-from .model import ModelSpec
+from .model import InputError, ModelSpec, as_times
 
 
 @dataclass(frozen=True, eq=False)
@@ -29,15 +29,12 @@ def amplitudes_at(spec: ModelSpec, table: BCoefficientTable, tau) -> AmplitudeVe
     """Amplitudes C_m(tau) = sum_n b[m][n] exp(i phi_n tau), phi_n = ``table.phases``.
 
     ``tau`` is a scalar or a 1-d array of times; the amplitudes have shape
-    ``tau.shape + (M'+1,)``.  Raises ValueError for a non-finite tau.
+    ``tau.shape + (M'+1,)``.  Raises :class:`InputError` for a table of
+    another spec and for a tau that :func:`as_times` rejects.
     """
     if table.spec != spec:
-        raise ValueError(
-            f"coefficient table was built for {table.spec}, not {spec}"
-        )
-    taus = np.asarray(tau, dtype=float)
-    if taus.ndim > 1 or not np.isfinite(taus).all():
-        raise ValueError(f"tau must be a finite scalar or 1-d array, got {tau!r}")
+        raise InputError(f"coefficient table was built for {table.spec}, not {spec}")
+    taus = as_times(tau)
     # an overflowing phase gives NaN amplitudes, which schmidt_spectrum rejects
     with np.errstate(over="ignore", invalid="ignore"):
         angles = np.multiply.outer(taus, table.phases)

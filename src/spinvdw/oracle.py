@@ -56,7 +56,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import ModelSpec
+from .model import InputError, ModelSpec, as_times
 
 # Sector budget: C(24, 12) = 2704156 sector states.  The worst sector,
 # (24,12), verifies 8 samples in 26-28 s and 64 samples in 104 s, at 555-574 MiB
@@ -82,7 +82,7 @@ KRYLOV_BREAKDOWN = 1e-13
 CHUNK_BYTES = 1 << 18
 
 
-class BudgetExceededError(ValueError):
+class BudgetExceededError(InputError):
     """A request exceeded a solver's size budget."""
 
 
@@ -174,7 +174,7 @@ class KrylovEvolution:
 
 def sector_basis(n_total: int, excitation_count: int) -> SectorBasis:
     if not 0 <= excitation_count <= n_total:
-        raise ValueError(
+        raise InputError(
             f"excitation count must lie in 0..{n_total}, got {excitation_count}"
         )
     if n_total > 63:
@@ -277,11 +277,10 @@ def propagate(evolution: KrylovEvolution, tau) -> SectorState:
     ``tau.shape + (d,)``.  psi(tau) is (exp(-i tau Theta) * S[0, :]) S^T Q,
     from :func:`krylov_evolution`, and runs no Lanczos step.  Every time
     costs O(d k) for a k-vector subspace: the complex weights meet the real
-    Q in two real products.  Raises ValueError for a non-finite tau.
+    Q in two real products.  Raises :class:`InputError` for a tau that
+    :func:`as_times` rejects.
     """
-    taus = np.asarray(tau, dtype=float)
-    if not np.isfinite(taus).all():
-        raise ValueError(f"tau must be finite, got {tau!r}")
+    taus = as_times(tau)
     phased = np.exp(-1j * np.multiply.outer(taus, evolution.theta)) * evolution.rotation[0]
     weights = phased @ evolution.rotation.T
     evolved = np.zeros(taus.shape + evolution.basis.patterns.shape, dtype=complex)
@@ -337,12 +336,13 @@ def schmidt_eigenvalues(state: SectorState, partition_size: int) -> np.ndarray:
     side of the cut, which is free accuracy and memory: where the first p
     sites are the smaller side (2 p <= N), C_j is transposed first, as a
     view.  Each block then takes one gather, one batched product and one
-    batched ``eigvalsh``.  Raises ValueError for a non-finite amplitude.
+    batched ``eigvalsh``.  Raises :class:`InputError` for a partition size
+    outside 0..N and ValueError for a misshapen or non-finite amplitude array.
     """
     basis = state.basis
     n_total = basis.n_total
     if not 0 <= partition_size <= n_total:
-        raise ValueError(
+        raise InputError(
             f"partition size must lie in 0..{n_total}, got {partition_size}"
         )
     amplitudes = np.asarray(state.amplitudes, dtype=complex)
@@ -423,10 +423,10 @@ def verify_closed_form(spec: ModelSpec, tau_samples) -> VerificationReport:
     oracle's first M'+1 eigenvalues with their M'+1 probabilities, and the
     rest of its 2^M' with zero.  A NaN deviation fails the report.
 
-    The closed forms run first, so samples that are not a non-empty 1-d
-    array of finite times raise ValueError before any sector is built:
-    :func:`amplitudes_at` rejects non-finite and 2-d samples and
-    :func:`entropy_grid` empty ones.
+    Samples that are not a non-empty 1-d array of finite real times raise
+    :class:`InputError` before any sector is built: the :func:`as_times`
+    call here rejects complex, non-finite and 2-d samples, and
+    :func:`entropy_grid`, which runs before the oracle, empty ones.
 
     From N = 16 on, the deviations measure the oracle's own error, not the
     closed form's: with one BLAS thread they read 2.2e-14 at (16,8),
@@ -440,7 +440,7 @@ def verify_closed_form(spec: ModelSpec, tau_samples) -> VerificationReport:
     from .entanglement import entropy, entropy_grid, exact_table, schmidt_spectrum
     from .evolution import amplitudes_at
 
-    taus = np.atleast_1d(np.asarray(tau_samples, dtype=float))
+    taus = np.atleast_1d(as_times(tau_samples))
     # built once: the kernel path below reads the same table
     reference = schmidt_spectrum(amplitudes_at(spec, exact_table(spec), taus))
     kernel_probs, kernel_entropies = entropy_grid(spec, taus)

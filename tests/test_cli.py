@@ -20,7 +20,7 @@ from spinvdw import cli, entanglement
 from spinvdw.combinatorics import b_table
 from spinvdw.cli import _build_parser, _format_block, _parse_args, main
 from spinvdw.entanglement import entropy_grid
-from spinvdw.model import ModelSpec
+from spinvdw.model import InputError, ModelSpec
 from spinvdw.oracle import BudgetExceededError
 from spinvdw.svgplot import line_plot
 
@@ -321,6 +321,22 @@ class TestMaxima:
         assert code == 2
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["evolve", "--n", "0"], "n_total must be >= 2, got 0"),
+    (["evolve", "--n", "1"], "n_total must be >= 2, got 1"),
+    (["evolve", "--n", "3", "--m", "4"], "m_excited must lie in 0..3, got 4"),
+    (["maxima", "--n-min", "1", "--n-max", "4"], "need 2 <= n_min <= n_max, got 1..4"),
+    (["maxima", "--n-min", "9", "--n-max", "4"], "need 2 <= n_min <= n_max, got 9..4"),
+], ids=["evolve-n0", "evolve-n1", "evolve-m-above-n", "maxima-n-min-1", "maxima-descending"])
+def test_library_input_error_exits_2(tmp_path, argv, message):
+    # the site-count and range rules are the library's: a fresh interpreter
+    # prints its message as the one error line, exits 2 and writes no file
+    proc = run_module(*argv, "--out", "x.csv", cwd=tmp_path)
+    assert proc.returncode == 2
+    assert proc.stderr.splitlines() == [f"error: {message}"]
+    assert list(tmp_path.iterdir()) == []
+
+
 class TestVerify:
     def test_small_sweep_passes(self, capsys):
         assert main(["verify", "--n-max", "4"]) == 0
@@ -354,9 +370,12 @@ class TestVerify:
         assert f"n-max must be >= 2, got {n_max}" in err
         assert "n-min" not in err
 
-    @pytest.mark.parametrize("error, code", [(BudgetExceededError, 2), (ValueError, 1)])
+    @pytest.mark.parametrize(
+        "error, code", [(BudgetExceededError, 2), (InputError, 2), (ValueError, 1)]
+    )
     def test_library_error_exit_code(self, monkeypatch, capsys, error, code):
-        # a budget error from the library is a usage error; any other exits 1
+        # an input error from the library, a budget error included, exits 2;
+        # any other error exits 1
         def failing(spec, taus):
             raise error("from the library")
 

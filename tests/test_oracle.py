@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from spinvdw import combinatorics, entanglement, evolution, oracle
 from spinvdw.combinatorics import BCoefficientTable, b_table
-from spinvdw.model import ModelSpec
+from spinvdw.model import InputError, ModelSpec
 from spinvdw.oracle import (
     CHUNK_BYTES,
     SECTOR_SITE_BUDGET,
@@ -620,7 +620,9 @@ class TestVerifyClosedForm:
         assert reference_calls == [(16,)]
 
     @pytest.mark.parametrize(
-        "samples", [[0.3, math.nan], [math.inf], [0.3, -math.inf], [], [[0.3, 0.5]]], ids=str
+        "samples",
+        [[0.3, math.nan], [math.inf], [0.3, -math.inf], [], [[0.3, 0.5]], [0.3, 0.5j], 0.5j],
+        ids=str,
     )
     def test_non_finite_or_empty_samples_rejected(self, monkeypatch, samples):
         # the closed forms reject the samples before any sector is built
@@ -628,7 +630,7 @@ class TestVerifyClosedForm:
             raise AssertionError("a sector was built")
 
         monkeypatch.setattr(oracle, "build_sector_hamiltonian", no_sector)
-        with pytest.raises(ValueError):
+        with pytest.raises(InputError):
             verify_closed_form(ModelSpec(4, 1), samples)
 
     def test_nan_deviation_fails_report(self, monkeypatch):
